@@ -14,6 +14,105 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Every verb's exact stdout: (arguments, plain output, lines output or None
+# when the lines output is the same).
+VERB_OUTPUTS = [
+    (("rank", "()0(0())0"), "736\n", None),
+    (("unrank", "736"), "()0(0())0\n", None),
+    (("next", "(0)0"), "(())\n", None),
+    (("prev", "(0)0"), "(00)\n", None),
+    (("cmp", "(0)", "()0"), "less\n", None),
+    (("add", "()0000(0)", "(0)0000"),
+     "()(0)0(0)\nindexes: 710 + 72 = 782\n",
+     "result=()(0)0(0) left=710 right=72 total=782\n"),
+    (("sub", "()(0)0(0)", "(0)0000"),
+     "()0000(0)\nindexes: 782 - 72 = 710\n",
+     "result=()0000(0) left=782 right=72 total=710\n"),
+    (("decompose", "()(0)0(0)"),
+     "()0000000  index 708\n(0)0000  index 72\n(0)  index 2\n"
+     "index sum: 782\n",
+     "part=()0000000 index=708\npart=(0)0000 index=72\npart=(0) index=2\n"
+     "total=782\n"),
+    (("shift-open", "()()()", "6", "2"),
+     "before:    ()()()  index 50\nafter:     (00)()()  index 156\n"
+     "predicted: +106\nverified:  +106\nsite:      positions 8, 6\n",
+     "before=()()() after=(00)()() predicted=106 verified=106 site=8,6\n"),
+    (("shift-close", "(0)0000", "5", "left"),
+     "before:    (0)0000  index 72\nafter:     ()00000  index 106\n"
+     "predicted: +34\nverified:  +34\nsite:      positions 6, 5\n",
+     "before=(0)0000 after=()00000 predicted=34 verified=34 site=6,5\n"),
+    (("remove-pair", "()00(())", "4", "7"),
+     "before:    ()00(())  index 278\nafter:     (0000())  index 129\n"
+     "predicted: -149\nverified:  -149\nsite:      positions 7, 4\n",
+     "before=()00(()) after=(0000()) predicted=-149 verified=-149 "
+     "site=7,4\n"),
+    (("insert-pair", "(0000())", "4", "7"),
+     "before:    (0000())  index 129\nafter:     ()00(())  index 278\n"
+     "predicted: +149\nverified:  +149\nsite:      positions 7, 4\n",
+     "before=(0000()) after=()00(()) predicted=149 verified=149 site=7,4\n"),
+    (("merge", "(0)()00", "4"),
+     "before:    (0)()00  index 79\nafter:     (0())00  index 70\n"
+     "predicted: -9\nverified:  -9\nsite:      positions 5, 4\n",
+     "before=(0)()00 after=(0())00 predicted=-9 verified=-9 site=5,4\n"),
+    (("split", "(0())00", "4"),
+     "before:    (0())00  index 70\nafter:     (0)()00  index 79\n"
+     "predicted: +9\nverified:  +9\nsite:      positions 5, 4\n",
+     "before=(0())00 after=(0)()00 predicted=9 verified=9 site=5,4\n"),
+    (("swap", "()0()00", "4"),
+     "before:    ()0()00  index 113\nafter:     ((0))00  index 88\n"
+     "predicted: -25\nverified:  -25\nsite:      positions 6, 5, 4\n",
+     "before=()0()00 after=((0))00 predicted=-25 verified=-25 "
+     "site=6,5,4\n"),
+    (("xi", "5"), "34\n", None),
+    (("zeta", "4", "7"), "149\n", None),
+    (("psi", "7"), "456\n", None),
+    (("range", "6"),
+     "min: (0000)  index 21\nmax: ()()()  index 50\n",
+     "min=(0000) index=21\nmax=()()() index=50\n"),
+    (("control-points", "7"),
+     "min                (00000)  index 51\n"
+     "pair_inside_block  (0())00  index 70\n"
+     "small_block        (0)0000  index 72\n"
+     "small_block_pairs  (0)()()  index 80\n"
+     "nested_block       ((0))00  index 88\n"
+     "leading_pair       ()00000  index 106\n"
+     "max                ()()()0  index 126\n",
+     "name=min word=(00000) index=51\n"
+     "name=pair_inside_block word=(0())00 index=70\n"
+     "name=small_block word=(0)0000 index=72\n"
+     "name=small_block_pairs word=(0)()() index=80\n"
+     "name=nested_block word=((0))00 index=88\n"
+     "name=leading_pair word=()00000 index=106\n"
+     "name=max word=()()()0 index=126\n"),
+    (("seq", "psi", "9"), "4, 10, 25, 65, 171, 456, 1227, 3328, 9086\n",
+     "".join(f"value={v}\n" for v in (4, 10, 25, 65, 171, 456, 1227, 3328,
+                                      9086))),
+    (("audit", "table_1", "--max-range", "7"),
+     "check: table_1\nscope: 7\noutcome: pass\nchecked: 21\n"
+     "counterexamples: 0\n",
+     "check=table_1 scope=7 outcome=pass checked=21 counterexamples=0\n"),
+    (("addendum", "--max-range", "3"), "000: 0, (), (0), ()0\n", None),
+]
+
+PINNED = [(("--format", "plain", *argv), plain)
+          for argv, plain, _ in VERB_OUTPUTS]
+PINNED += [(("--format", "lines", *argv), plain if lines is None else lines)
+           for argv, plain, lines in VERB_OUTPUTS]
+PINNED += [
+    (("--translit", "next", "loro"), "llrr\n"),
+    (("--translit", "shift-close", "loroooo", "5", "left"),
+     "before:    loroooo  index 72\nafter:     lrooooo  index 106\n"
+     "predicted: +34\nverified:  +34\nsite:      positions 6, 5\n"),
+]
+
+
+@pytest.mark.parametrize("argv, stdout", PINNED,
+                         ids=[" ".join(argv[:3]) for argv, _ in PINNED])
+def test_every_verb_output_is_pinned(capsys, argv, stdout):
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, stdout)
+
+
 def test_rank_and_unrank(capsys):
     code, out, _ = run_cli(capsys, "rank", "()0(0())0")
     assert code == 0 and out.strip() == "736"
