@@ -56,7 +56,7 @@ def main():
     show("split", split_block(merged.after, 4))
 
     print()
-    print(f"Fusing blocks across a single zero (psi(4) = {psi(4)}, measured):")
+    print(f"Fusing blocks across a single zero (psi(4) = {psi(4)}, audited):")
     show("swap", swap_across_zero("()0()00", 4))
 
     print()

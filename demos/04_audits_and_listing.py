@@ -4,8 +4,9 @@
 The enumerate-and-sort oracle shares no code with the completion-count
 arithmetic, so their agreement actually means something.  Audits sweep
 whole ranges site by site; proof-backed checks must come back clean,
-while the conjectured merge delta and the measured psi drop report
-counterexamples as data (none are known through range 12).
+while the conjectured merge delta and the psi drop, whose site
+independence is audited rather than proven, report counterexamples as
+data (none are known through range 12).
 """
 
 from motzkinrow import (

@@ -6,7 +6,8 @@ need shell quoting, --translit switches the word alphabet to o/l/r
 the command line are 1-based and counted from the RIGHT end of the word.
 
 Exit codes: 0 success, 1 domain error (bad site, crossing words, ...),
-2 usage error, 3 an audit found a counterexample.
+2 usage error (including a bad MOTZKINROW_* value), 3 an audit found a
+counterexample.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 
 from . import config
 from .blockops import add, decompose_sum, sub
-from .errors import MotzkinError
+from .errors import ConfigError, MotzkinError
 from .nav import (
     control_points,
     insert_pair,
@@ -37,8 +38,15 @@ from .rowindex import (
     successor,
     unrank,
 )
-from .verify import audit, regenerate_addendum, report_lines, report_text, sequence
-from .word import as_word
+from .verify import (
+    _CHECKS,
+    _SEQUENCES,
+    audit,
+    regenerate_addendum,
+    report_lines,
+    report_text,
+    sequence,
+)
 
 _FROM_TRANSLIT = str.maketrans("olr", "0()")
 _TO_TRANSLIT = str.maketrans("0()", "olr")
@@ -58,72 +66,36 @@ def _emit(*lines):
         print(line)
 
 
-def _cmd_rank(ns):
-    _emit(rank(_decode(ns, ns.word)))
-    return 0
+# --- output shapes: each prints one kind of result in the chosen format ---
 
 
-def _cmd_unrank(ns):
-    _emit(_encode(ns, unrank(ns.index)))
-    return 0
+def _value(ns, value):
+    _emit(value)
 
 
-def _cmd_next(ns):
-    _emit(_encode(ns, successor(_decode(ns, ns.word))))
-    return 0
+def _word(ns, word):
+    _emit(_encode(ns, word))
 
 
-def _cmd_prev(ns):
-    _emit(_encode(ns, predecessor(_decode(ns, ns.word))))
-    return 0
-
-
-def _cmd_cmp(ns):
-    order = compare(_decode(ns, ns.left), _decode(ns, ns.right))
-    _emit({-1: "less", 0: "equal", 1: "greater"}[order])
-    return 0
-
-
-def _cmd_add(ns):
-    x = as_word(_decode(ns, ns.left))
-    y = as_word(_decode(ns, ns.right))
-    z = add(x, y)
+def _equation(ns, result):
+    x, op, y, z = result
     if ns.format == "lines":
         _emit(f"result={_encode(ns, z)} left={rank(x)} right={rank(y)} "
               f"total={rank(z)}")
     else:
-        _emit(_encode(ns, z),
-              f"indexes: {rank(x)} + {rank(y)} = {rank(z)}")
-    return 0
+        _emit(_encode(ns, z), f"indexes: {rank(x)} {op} {rank(y)} = {rank(z)}")
 
 
-def _cmd_sub(ns):
-    x = as_word(_decode(ns, ns.left))
-    y = as_word(_decode(ns, ns.right))
-    z = sub(x, y)
+def _decomposition(ns, result):
+    parts, total = result
+    rows = [(_encode(ns, p), rank(p)) for p in parts]
     if ns.format == "lines":
-        _emit(f"result={_encode(ns, z)} left={rank(x)} right={rank(y)} "
-              f"total={rank(z)}")
+        _emit(*(f"part={w} index={i}" for w, i in rows), f"total={total}")
     else:
-        _emit(_encode(ns, z),
-              f"indexes: {rank(x)} - {rank(y)} = {rank(z)}")
-    return 0
+        _emit(*(f"{w}  index {i}" for w, i in rows), f"index sum: {total}")
 
 
-def _cmd_decompose(ns):
-    parts, total = decompose_sum(_decode(ns, ns.word))
-    if ns.format == "lines":
-        for p in parts:
-            _emit(f"part={_encode(ns, p)} index={rank(p)}")
-        _emit(f"total={total}")
-    else:
-        for p in parts:
-            _emit(f"{_encode(ns, p)}  index {rank(p)}")
-        _emit(f"index sum: {total}")
-    return 0
-
-
-def _emit_report(ns, rep):
+def _delta(ns, rep):
     if ns.format == "lines":
         _emit(f"before={_encode(ns, rep.before)} after={_encode(ns, rep.after)} "
               f"predicted={rep.predicted_delta} verified={rep.verified_delta} "
@@ -136,95 +108,108 @@ def _emit_report(ns, rep):
               f"site:      positions {', '.join(map(str, rep.site))}")
         if not rep.agrees:
             print("note: predicted and verified deltas disagree", file=sys.stderr)
-    return 0
 
 
-def _cmd_shift_open(ns):
-    return _emit_report(ns, shift_open(_decode(ns, ns.word), ns.position, ns.offset))
+def _listing(plain, lines):
+    """Rows of (name, word, index), one line each."""
+    def show(ns, rows):
+        form = lines if ns.format == "lines" else plain
+        for name, word, index in rows:
+            _emit(form.format(name=name, word=_encode(ns, word), index=index))
+    return show
 
 
-def _cmd_shift_close(ns):
-    return _emit_report(ns, shift_close(_decode(ns, ns.word), ns.position,
-                                        ns.direction))
-
-
-def _cmd_remove_pair(ns):
-    return _emit_report(ns, remove_pair(_decode(ns, ns.word), ns.open_pos,
-                                        ns.close_pos))
-
-
-def _cmd_insert_pair(ns):
-    return _emit_report(ns, insert_pair(_decode(ns, ns.word), ns.open_pos,
-                                        ns.close_pos))
-
-
-def _cmd_merge(ns):
-    return _emit_report(ns, merge_adjacent(_decode(ns, ns.word), ns.position))
-
-
-def _cmd_split(ns):
-    return _emit_report(ns, split_block(_decode(ns, ns.word), ns.position))
-
-
-def _cmd_swap(ns):
-    return _emit_report(ns, swap_across_zero(_decode(ns, ns.word), ns.position))
-
-
-def _cmd_xi(ns):
-    _emit(xi(ns.k))
-    return 0
-
-
-def _cmd_zeta(ns):
-    _emit(zeta(ns.k, ns.l))
-    return 0
-
-
-def _cmd_psi(ns):
-    _emit(psi(ns.k))
-    return 0
-
-
-def _cmd_range(ns):
-    lo, lo_index = range_min(ns.length)
-    hi, hi_index = range_max(ns.length)
+def _sequence(ns, values):
     if ns.format == "lines":
-        _emit(f"min={_encode(ns, lo)} index={lo_index}",
-              f"max={_encode(ns, hi)} index={hi_index}")
-    else:
-        _emit(f"min: {_encode(ns, lo)}  index {lo_index}",
-              f"max: {_encode(ns, hi)}  index {hi_index}")
-    return 0
-
-
-def _cmd_control_points(ns):
-    for name, word, index in control_points(ns.length):
-        if ns.format == "lines":
-            _emit(f"name={name} word={_encode(ns, word)} index={index}")
-        else:
-            _emit(f"{name:<18} {_encode(ns, word)}  index {index}")
-    return 0
-
-
-def _cmd_seq(ns):
-    values = sequence(ns.name, ns.count)
-    if ns.format == "lines":
-        for v in values:
-            _emit(f"value={v}")
+        _emit(*(f"value={v}" for v in values))
     else:
         _emit(", ".join(map(str, values)))
-    return 0
 
 
-def _cmd_audit(ns):
-    rep = audit(ns.check, ns.max_range, ns.workers)
+def _audit(ns, rep):
     _emit(report_lines(rep) if ns.format == "lines" else report_text(rep))
     return 3 if rep.counterexamples else 0
 
 
-def _cmd_addendum(ns):
-    sys.stdout.write(regenerate_addendum(ns.max_range))
-    return 0
+def _text(ns, text):
+    sys.stdout.write(text)
+
+
+# --- the verbs -------------------------------------------------------------
+#
+# (name, help, library call, output shape, arguments).  An argument given
+# by name alone is a word, read through --translit; the others are (name or
+# flag, argparse keywords).  The call gets the arguments in this order.
+
+
+def _int(name, help_text=None, **kw):
+    return name, {"type": int, "help": help_text, **kw}
+
+
+_VERBS = [
+    ("rank", "index of a word", rank, _value, ["word"]),
+    ("unrank", "word at an index", unrank, _word, [_int("index")]),
+    ("next", "successor word", successor, _word, ["word"]),
+    ("prev", "predecessor word", predecessor, _word, ["word"]),
+    ("cmp", "order two words",
+     lambda x, y: ("less", "equal", "greater")[compare(x, y) + 1], _value,
+     ["left", "right"]),
+    ("add", "overlay two noncrossing words",
+     lambda x, y: (x, "+", y, add(x, y)), _equation, ["left", "right"]),
+    ("sub", "erase an included word's blocks",
+     lambda x, y: (x, "-", y, sub(x, y)), _equation, ["left", "right"]),
+    ("decompose", "extended blocks and their index sum", decompose_sum,
+     _decomposition, ["word"]),
+    ("shift-open", "drift an outer block's opening bracket across zeros",
+     shift_open, _delta,
+     ["word", _int("position"),
+      _int("offset", "positions to move: positive = left, negative = right")]),
+    ("shift-close", "swap an outer block's closing bracket with the adjacent "
+     "zero", shift_close, _delta,
+     ["word", _int("position"),
+      ("direction", {"choices": ("left", "right")})]),
+    ("remove-pair", "erase the touching brackets of two neighboring blocks",
+     remove_pair, _delta,
+     ["word", _int("open_pos", "opening bracket position (k)"),
+      _int("close_pos", "closing bracket position (l > k)")]),
+    ("insert-pair", "split a block by writing a bracket pair into its zero "
+     "zone", insert_pair, _delta,
+     ["word", _int("open_pos", "new opening bracket position (k)"),
+      _int("close_pos", "new closing bracket position (l > k)")]),
+    ("merge", "merge two touching blocks", merge_adjacent, _delta,
+     ["word", _int("position", "opening bracket of the right block")]),
+    ("split", "split a block at an inner adjacent pair", split_block, _delta,
+     ["word", _int("position", "closing symbol of the inner pair")]),
+    ("swap", "fuse two blocks separated by a single zero", swap_across_zero,
+     _delta, ["word", _int("position", "opening bracket of the right block")]),
+    ("xi", "close-bracket drift delta at position k", xi, _value, [_int("k")]),
+    ("zeta", "bracket-pair removal delta at positions k, l", zeta, _value,
+     [_int("k"), _int("l")]),
+    ("psi", "zero-gap swap delta at position k, "
+     "M[k-1] + T(k-1,1) + T(k,1) + T(k,3)", psi, _value, [_int("k")]),
+    ("range", "smallest and largest word of a length",
+     lambda n: [("min", *range_min(n)), ("max", *range_max(n))],
+     _listing("{name}: {word}  index {index}", "{name}={word} index={index}"),
+     [_int("length")]),
+    ("control-points", "the seven landmark words of a range", control_points,
+     _listing("{name:<18} {word}  index {index}",
+              "name={name} word={word} index={index}"),
+     [_int("length")]),
+    ("seq", "regenerate a named integer sequence", sequence, _sequence,
+     [("name", {"choices": _SEQUENCES}), _int("count")]),
+    ("audit", "run an exhaustive check, exit 3 on counterexample",
+     lambda check, scope, workers: audit(
+         check, config.audit_scope() if scope is None else scope, workers),
+     _audit,
+     [("check", {"choices": _CHECKS}),
+      _int("--max-range", "largest range to sweep (default "
+           f"$MOTZKINROW_AUDIT_SCOPE, else {config.DEFAULT_AUDIT_SCOPE})"),
+      _int("--workers", "parallel worker processes for range sweeps",
+           default=1)]),
+    ("addendum", "emit the corrected row listing", regenerate_addendum, _text,
+     [_int("--max-range", "largest range to list (default %(default)s)",
+           default=9)]),
+]
 
 
 def build_parser():
@@ -239,98 +224,27 @@ def build_parser():
                         help="plain text or machine-readable key=value lines")
     parser.add_argument("--translit", action="store_true",
                         help="read and write words as o/l/r instead of 0/(/)")
-    sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
-
-    def cmd(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=fn)
-        return p
-
-    p = cmd("rank", _cmd_rank, "index of a word")
-    p.add_argument("word")
-    p = cmd("unrank", _cmd_unrank, "word at an index")
-    p.add_argument("index", type=int)
-    p = cmd("next", _cmd_next, "successor word")
-    p.add_argument("word")
-    p = cmd("prev", _cmd_prev, "predecessor word")
-    p.add_argument("word")
-    p = cmd("cmp", _cmd_cmp, "order two words")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = cmd("add", _cmd_add, "overlay two noncrossing words")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = cmd("sub", _cmd_sub, "erase an included word's blocks")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = cmd("decompose", _cmd_decompose, "extended blocks and their index sum")
-    p.add_argument("word")
-    p = cmd("shift-open", _cmd_shift_open,
-            "drift an outer block's opening bracket across zeros")
-    p.add_argument("word")
-    p.add_argument("position", type=int)
-    p.add_argument("offset", type=int,
-                   help="positions to move: positive = left, negative = right")
-    p = cmd("shift-close", _cmd_shift_close,
-            "swap an outer block's closing bracket with the adjacent zero")
-    p.add_argument("word")
-    p.add_argument("position", type=int)
-    p.add_argument("direction", choices=("left", "right"))
-    p = cmd("remove-pair", _cmd_remove_pair,
-            "erase the touching brackets of two neighboring blocks")
-    p.add_argument("word")
-    p.add_argument("open_pos", type=int, help="opening bracket position (k)")
-    p.add_argument("close_pos", type=int, help="closing bracket position (l > k)")
-    p = cmd("insert-pair", _cmd_insert_pair,
-            "split a block by writing a bracket pair into its zero zone")
-    p.add_argument("word")
-    p.add_argument("open_pos", type=int, help="new opening bracket position (k)")
-    p.add_argument("close_pos", type=int, help="new closing bracket position (l > k)")
-    p = cmd("merge", _cmd_merge, "merge two touching blocks")
-    p.add_argument("word")
-    p.add_argument("position", type=int, help="opening bracket of the right block")
-    p = cmd("split", _cmd_split, "split a block at an inner adjacent pair")
-    p.add_argument("word")
-    p.add_argument("position", type=int, help="closing symbol of the inner pair")
-    p = cmd("swap", _cmd_swap, "fuse two blocks separated by a single zero")
-    p.add_argument("word")
-    p.add_argument("position", type=int, help="opening bracket of the right block")
-    p = cmd("xi", _cmd_xi, "close-bracket drift delta at position k")
-    p.add_argument("k", type=int)
-    p = cmd("zeta", _cmd_zeta, "bracket-pair removal delta at positions k, l")
-    p.add_argument("k", type=int)
-    p.add_argument("l", type=int)
-    p = cmd("psi", _cmd_psi, "zero-gap swap delta at position k (measured)")
-    p.add_argument("k", type=int)
-    p = cmd("range", _cmd_range, "smallest and largest word of a length")
-    p.add_argument("length", type=int)
-    p = cmd("control-points", _cmd_control_points,
-            "the seven landmark words of a range")
-    p.add_argument("length", type=int)
-    p = cmd("seq", _cmd_seq, "regenerate a named integer sequence")
-    p.add_argument("name",
-                   choices=("motzkin", "unique", "xi", "zeta_adjacent", "psi"))
-    p.add_argument("count", type=int)
-    p = cmd("audit", _cmd_audit, "run an exhaustive check, exit 3 on counterexample")
-    p.add_argument("check")
-    p.add_argument("--max-range", type=int, default=config.audit_scope(),
-                   help="largest range to sweep (default %(default)s)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes for range sweeps")
-    p = cmd("addendum", _cmd_addendum, "emit the corrected row listing")
-    p.add_argument("--max-range", type=int, default=9,
-                   help="largest range to list (default %(default)s)")
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
+    for name, help_text, call, show, args in _VERBS:
+        p = verbs.add_parser(name, help=help_text)
+        dests = []
+        for arg in args:
+            is_word = isinstance(arg, str)
+            flag, kw = (arg, {}) if is_word else arg
+            dests.append((p.add_argument(flag, **kw).dest, is_word))
+        p.set_defaults(call=call, show=show, dests=dests)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
+    args = [_decode(ns, getattr(ns, dest)) if is_word else getattr(ns, dest)
+            for dest, is_word in ns.dests]
     try:
-        return ns.func(ns)
+        return ns.show(ns, ns.call(*args)) or 0
     except MotzkinError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -2,6 +2,8 @@
 
 import os
 
+from .errors import ConfigError
+
 # Longest word accepted anywhere (rank/unrank stay exact at this scale).
 DEFAULT_MAX_WORD_LENGTH = 4096
 
@@ -16,7 +18,13 @@ def _env_int(name, default):
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {raw!r}")
+    return value
 
 
 def max_word_length():

@@ -29,6 +29,10 @@ class NotCanonicalError(WordError):
     """A multi-symbol word starts with a zero (use parse for padded text)."""
 
 
+class ConfigError(MotzkinError, ValueError):
+    """A MOTZKINROW_* environment variable is not a positive integer."""
+
+
 class LimitError(MotzkinError):
     """A configured size limit was exceeded."""
 

@@ -20,16 +20,16 @@ only on the positions touched, never on the rest of the word:
 Every operation returns a DeltaReport carrying both the polynomial value
 and the rank-verified delta.  For the first three families the equality of
 the two is proven, so a mismatch raises PolynomialMismatchError.  The
-merge/split family and the zero-gap swap are only conjectured / measured,
-so there a mismatch is data for the caller, not an error.
+merge/split family is only conjectured and the zero-gap swap's site
+independence is only audited, so there a mismatch is data for the caller,
+not an error.
 
 All positions are 1-based from the right end of the word.
 """
 
-import threading
 from dataclasses import dataclass
 
-from .bigcomb import motzkin
+from .bigcomb import completions, motzkin
 from .errors import (
     ArgumentError,
     BlockedError,
@@ -44,12 +44,10 @@ from .word import (
     MotzkinWord,
     Symbol,
     as_word,
+    check_length,
     depth_before,
     outer_blocks,
 )
-
-_psi_lock = threading.Lock()
-_psi_cache: dict[int, int] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,46 +87,32 @@ def zeta(k: int, l: int) -> int:
 
 
 def psi(k: int) -> int:
-    """Index drop of the zero-gap block swap at position k.
+    """Index drop of the zero-gap block swap at position k:
+    M[k-1] + T(k-1,1) + T(k,1) + T(k,3), with T(m,d) the Motzkin triangle
+    (``completions``).
 
-    Counting the (k+3)-words between the two sides by prefix gives
-    psi(k) = M[k-1] + T(k-1,1) + T(k,1) + T(k,3), with T(m,d) the Motzkin
-    triangle (``completions``).  The value is still measured once on the
-    smallest word containing the site (a bracket pair, one zero, then a
-    single all-zero block opening at position k) and cached.
-    Site-independence is an audited property, not an assumption baked in
-    here.
+    On the smallest host, "()0(0..0)" to "((0)0..0)" with the right block
+    opening at k, the (k+3)-words between the two sides split by prefix
+    into ()00.., ((0).., (() and (((, which the four terms count.  That
+    every other host drops by the same amount is audited
+    (``psi_site_independence``), not assumed.
     """
     if k < 2:
         raise ArgumentError(f"psi needs k >= 2, got {k}")
-    with _psi_lock:
-        cached = _psi_cache.get(k)
-    if cached is not None:
-        return cached
-    before = MotzkinWord("()0(" + "0" * (k - 2) + ")")
-    after = MotzkinWord("((0)" + "0" * (k - 2) + ")")
-    value = rank(before) - rank(after)
-    with _psi_lock:
-        _psi_cache[k] = value
-    return value
+    check_length(k + 3)  # the drop is taken between (k+3)-words
+    return (motzkin(k - 1) + completions(k - 1, 1) + completions(k, 1)
+            + completions(k, 3))
 
 
-def _outer_open(w: MotzkinWord, k: int) -> BlockSpan:
+def _outer_block(w: MotzkinWord, k: int, side: str) -> BlockSpan:
+    """The outer block whose opening (side "open") or closing (side
+    "close") bracket sits at position k."""
     for b in outer_blocks(w):
-        if b.open_pos == k:
+        if (b.open_pos if side == "open" else b.close_pos) == k:
             return b
+    bracket = "opening" if side == "open" else "closing"
     raise SiteError(
-        f"position {k} of {w.text!r} is not the opening bracket of an "
-        "outer block"
-    )
-
-
-def _outer_close(w: MotzkinWord, k: int) -> BlockSpan:
-    for b in outer_blocks(w):
-        if b.close_pos == k:
-            return b
-    raise SiteError(
-        f"position {k} of {w.text!r} is not the closing bracket of an "
+        f"position {k} of {w.text!r} is not the {bracket} bracket of an "
         "outer block"
     )
 
@@ -146,10 +130,12 @@ def _rewrite(w: MotzkinWord, assignments: dict[int, str]) -> MotzkinWord:
         raise ValidityError(f"rewrite of {w.text!r} is not a valid word: {exc}")
 
 
-def _theorem_report(before, after, predicted, site) -> DeltaReport:
+def _report(before, after, predicted, site, proven=True) -> DeltaReport:
+    """Pair the predicted delta with the rank difference.  A proven
+    prediction that disagrees raises; an unproven one is reportable data."""
     report = DeltaReport(before, after, predicted, rank(after) - rank(before),
                          tuple(site))
-    if not report.agrees:
+    if proven and not report.agrees:
         raise PolynomialMismatchError(
             f"proven delta {report.predicted_delta} disagrees with rank "
             f"difference {report.verified_delta} on {before.text!r} at "
@@ -157,12 +143,6 @@ def _theorem_report(before, after, predicted, site) -> DeltaReport:
             report,
         )
     return report
-
-
-def _measured_report(before, after, predicted, site) -> DeltaReport:
-    # Conjectured/measured deltas: disagreement is reportable data.
-    return DeltaReport(before, after, predicted, rank(after) - rank(before),
-                       tuple(site))
 
 
 def shift_open(w, k: int, j: int) -> DeltaReport:
@@ -173,7 +153,7 @@ def shift_open(w, k: int, j: int) -> DeltaReport:
     rightward moves stay inside the block.  Delta: M[k-1+j] - M[k-1].
     """
     w = as_word(w)
-    _outer_open(w, k)
+    _outer_block(w, k, "open")
     if k + j < 1:
         raise ArgumentError(f"target position {k + j} is below 1")
     if j > 0:
@@ -188,7 +168,7 @@ def shift_open(w, k: int, j: int) -> DeltaReport:
             )
     after = _rewrite(w, {k: "0", k + j: "("}) if j else w
     predicted = motzkin(k - 1 + j) - motzkin(k - 1)
-    return _theorem_report(w, after, predicted, (max(k, k + j), min(k, k + j)))
+    return _report(w, after, predicted, (max(k, k + j), min(k, k + j)))
 
 
 def shift_close(w, k: int, direction: str) -> DeltaReport:
@@ -199,14 +179,14 @@ def shift_close(w, k: int, direction: str) -> DeltaReport:
     length never changes.
     """
     w = as_word(w)
-    _outer_close(w, k)
+    _outer_block(w, k, "close")
     if direction == "left":
         if w.symbol_at(k + 1) is not Symbol.ZERO:
             raise BlockedError(
                 f"position {k + 1} of {w.text!r} is not a zero"
             )
         after = _rewrite(w, {k + 1: ")", k: "0"})
-        return _theorem_report(w, after, xi(k), (k + 1, k))
+        return _report(w, after, xi(k), (k + 1, k))
     if direction == "right":
         if k < 2:
             raise ArgumentError("a closing bracket cannot move right of position 1")
@@ -215,7 +195,7 @@ def shift_close(w, k: int, direction: str) -> DeltaReport:
                 f"position {k - 1} of {w.text!r} is not a zero"
             )
         after = _rewrite(w, {k: "0", k - 1: ")"})
-        return _theorem_report(w, after, -xi(k - 1), (k, k - 1))
+        return _report(w, after, -xi(k - 1), (k, k - 1))
     raise ArgumentError(f"direction must be 'left' or 'right', got {direction!r}")
 
 
@@ -225,8 +205,8 @@ def remove_pair(w, k: int, l: int) -> DeltaReport:
     w = as_word(w)
     if not l > k >= 2:
         raise ArgumentError(f"remove_pair needs l > k >= 2, got ({k}, {l})")
-    _outer_close(w, l)
-    _outer_open(w, k)
+    _outer_block(w, l, "close")
+    _outer_block(w, k, "open")
     for p in range(k + 1, l):
         if w.symbol_at(p) is not Symbol.ZERO:
             raise SiteError(
@@ -234,7 +214,7 @@ def remove_pair(w, k: int, l: int) -> DeltaReport:
                 "is not all zeros"
             )
     after = _rewrite(w, {l: "0", k: "0"})
-    return _theorem_report(w, after, -zeta(k, l), (l, k))
+    return _report(w, after, -zeta(k, l), (l, k))
 
 
 def insert_pair(w, k: int, l: int) -> DeltaReport:
@@ -254,7 +234,7 @@ def insert_pair(w, k: int, l: int) -> DeltaReport:
             "an outer block"
         )
     after = _rewrite(w, {l: ")", k: "("})
-    return _theorem_report(w, after, zeta(k, l), (l, k))
+    return _report(w, after, zeta(k, l), (l, k))
 
 
 def merge_adjacent(w, k: int) -> DeltaReport:
@@ -265,10 +245,10 @@ def merge_adjacent(w, k: int) -> DeltaReport:
     verified delta is the authority; callers can compare the two.
     """
     w = as_word(w)
-    _outer_close(w, k + 1)
-    _outer_open(w, k)
+    _outer_block(w, k + 1, "close")
+    _outer_block(w, k, "open")
     after = _rewrite(w, {k + 1: "(", k: ")"})
-    return _measured_report(w, after, -motzkin(k), (k + 1, k))
+    return _report(w, after, -motzkin(k), (k + 1, k), proven=False)
 
 
 def split_block(w, k: int) -> DeltaReport:
@@ -288,28 +268,28 @@ def split_block(w, k: int) -> DeltaReport:
             "directly inside an outer block"
         )
     after = _rewrite(w, {k + 1: ")", k: "("})
-    return _measured_report(w, after, motzkin(k), (k + 1, k))
+    return _report(w, after, motzkin(k), (k + 1, k), proven=False)
 
 
 def swap_across_zero(w, k: int) -> DeltaReport:
     """Fuse two outer blocks separated by exactly one zero: the close
     bracket at k+2 and the open bracket at k swap, leaving a nested "(0)".
 
-    The drop psi(k) is measured on a fixed host word (see psi for its
-    closed form), and the report always carries the rank-verified delta
-    alongside it.
+    The predicted drop is the closed form psi(k).  That it holds on every
+    host is audited, not proven, so a disagreement with the rank-verified
+    delta is reported, not raised.
     """
     w = as_word(w)
-    _outer_close(w, k + 2)
+    _outer_block(w, k + 2, "close")
     if w.symbol_at(k + 1) is not Symbol.ZERO:
         raise SiteError(f"position {k + 1} of {w.text!r} is not a zero")
-    _outer_open(w, k)
+    _outer_block(w, k, "open")
     after = _rewrite(w, {k + 2: "(", k: ")"})
-    return _measured_report(w, after, -psi(k), (k + 2, k + 1, k))
+    return _report(w, after, -psi(k), (k + 2, k + 1, k), proven=False)
 
 
 # psi enters the nested_block polynomial because that landmark is reached
-# through a zero-gap swap; everything else is closed-form.
+# through a zero-gap swap.
 def control_points(n: int) -> list[tuple[str, MotzkinWord, int]]:
     """Landmark words of the n-range with closed-form indexes, smallest
     to largest; every returned index is checked against rank."""

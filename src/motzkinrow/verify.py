@@ -479,26 +479,22 @@ def _run_paper_examples(scope):
     return count, bad
 
 
-# (kind, first unit, unit maker); kind decides the passing outcome label
+# (kind, runner, first range, unit); kind decides the passing outcome label.
+# A runner takes one range (unit "range") or the whole scope at once (unit
+# "scope").  The first range is the smallest with a site to check, so no
+# accepted scope passes vacuously.
 _CHECKS = {
-    "rank_roundtrip": ("theorem", _run_rank_roundtrip,
-                       lambda scope: list(range(1, scope + 1))),
-    "order_agreement": ("theorem", _run_order_agreement, lambda scope: [scope]),
-    "theorem_2_4": ("theorem", _run_theorem_2_4,
-                    lambda scope: list(range(2, scope + 1))),
-    "corollary_3_1": ("theorem", _run_corollary_3_1,
-                      lambda scope: list(range(2, scope + 1))),
-    "corollary_3_3": ("theorem", _run_corollary_3_3,
-                      lambda scope: list(range(2, scope + 1))),
-    "corollary_4_1": ("theorem", _run_corollary_4_1,
-                      lambda scope: list(range(2, scope + 1))),
-    "conjecture_4_3": ("conjecture", _run_conjecture_4_3,
-                       lambda scope: list(range(2, scope + 1))),
-    "psi_site_independence": ("conjecture", _run_psi_site_independence,
-                              lambda scope: list(range(2, scope + 1))),
-    "table_1": ("theorem", _run_table_1,
-                lambda scope: list(range(5, scope + 1))),
-    "paper_examples": ("theorem", _run_paper_examples, lambda scope: [scope]),
+    "rank_roundtrip": ("theorem", _run_rank_roundtrip, 1, "range"),
+    "order_agreement": ("theorem", _run_order_agreement, 1, "scope"),
+    "theorem_2_4": ("theorem", _run_theorem_2_4, 2, "range"),
+    "corollary_3_1": ("theorem", _run_corollary_3_1, 2, "range"),
+    "corollary_3_3": ("theorem", _run_corollary_3_3, 3, "range"),
+    "corollary_4_1": ("theorem", _run_corollary_4_1, 4, "range"),
+    "conjecture_4_3": ("conjecture", _run_conjecture_4_3, 4, "range"),
+    "psi_site_independence": ("conjecture", _run_psi_site_independence, 5,
+                              "range"),
+    "table_1": ("theorem", _run_table_1, 5, "range"),
+    "paper_examples": ("theorem", _run_paper_examples, 0, "scope"),
 }
 
 
@@ -511,15 +507,22 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
 
     Work is split by range; with workers > 1 the units run in separate
     processes and the merged counterexamples are sorted so the report is
-    deterministic either way.
+    deterministic either way.  A scope below the check's first range and
+    fewer than one worker are ArgumentErrors.
     """
     if check not in _CHECKS:
         raise UnknownCheckError(
             f"unknown check {check!r}; expected one of {sorted(_CHECKS)}"
         )
-    kind, run_unit, unit_maker = _CHECKS[check]
-    units = unit_maker(max_scope)
-    results = []
+    kind, run_unit, first, unit = _CHECKS[check]
+    if max_scope < first:
+        raise ArgumentError(
+            f"check {check!r} needs a scope of at least {first}, "
+            f"got {max_scope}"
+        )
+    if workers < 1:
+        raise ArgumentError(f"workers must be at least 1, got {workers}")
+    units = list(range(first, max_scope + 1)) if unit == "range" else [max_scope]
     if workers > 1 and len(units) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_unit, units))

@@ -53,14 +53,19 @@ class Symbol(IntEnum):
         return cls(idx)
 
 
+def check_length(n: int) -> None:
+    """Raise LimitError if a word of length n is over the configured limit."""
+    limit = config.max_word_length()
+    if n > limit:
+        raise LimitError(
+            f"word length {n} exceeds the configured maximum {limit}"
+        )
+
+
 def _validate_structure(text: str) -> None:
     if not text:
         raise EmptyError("a Motzkin word has at least one symbol")
-    if len(text) > config.max_word_length():
-        raise LimitError(
-            f"word length {len(text)} exceeds the configured maximum "
-            f"{config.max_word_length()}"
-        )
+    check_length(len(text))
     depth = 0
     for i, ch in enumerate(text):
         if ch == "(":

@@ -233,8 +233,9 @@ def test_domain_errors_exit_1(capsys):
     assert code == 1 and "error:" in err
     code, _, err = run_cli(capsys, "rank", ")(")
     assert code == 1
-    code, _, err = run_cli(capsys, "audit", "no_such_check")
-    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["audit", "no_such_check"])
+    assert exc.value.code == 2
 
 
 def test_usage_errors_exit_2(capsys):
@@ -245,6 +246,40 @@ def test_usage_errors_exit_2(capsys):
         cli.main(["rank"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("audit", "corollary_3_1", "--max-range", "0"),
+    ("audit", "table_1", "--max-range", "4"),
+    ("audit", "psi_site_independence", "--max-range", "4"),
+    ("audit", "theorem_2_4", "--max-range", "6", "--workers", "0"),
+    ("audit", "theorem_2_4", "--max-range", "6", "--workers", "-4"),
+])
+def test_vacuous_audits_are_domain_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, value, argv", [
+    ("MOTZKINROW_AUDIT_SCOPE", "abc", ("audit", "table_1")),
+    ("MOTZKINROW_AUDIT_SCOPE", "0", ("audit", "table_1")),
+    ("MOTZKINROW_MAX_WORD_LEN", "0", ("rank", "()")),
+    ("MOTZKINROW_MAX_WORD_LEN", "1.5", ("rank", "()")),
+    ("MOTZKINROW_ENUM_LIMIT", "-3", ("addendum",)),
+])
+def test_bad_environment_values_are_usage_errors(capsys, monkeypatch, name,
+                                                 value, argv):
+    monkeypatch.setenv(name, value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {name} must be a positive integer, got {value!r}\n"
+
+
+def test_bad_environment_value_spares_verbs_that_do_not_read_it(capsys,
+                                                                 monkeypatch):
+    monkeypatch.setenv("MOTZKINROW_AUDIT_SCOPE", "abc")
+    assert run_cli(capsys, "rank", "()") == (0, "1\n", "")
 
 
 def test_module_entry_point():

@@ -3,6 +3,7 @@ import pytest
 from motzkinrow import (
     ArgumentError,
     BlockedError,
+    LimitError,
     SiteError,
     control_points,
     insert_pair,
@@ -60,6 +61,14 @@ def test_psi_values():
         psi(1)
 
 
+def test_psi_keeps_to_the_word_length_limit(monkeypatch):
+    # psi(k) is a drop between (k+3)-words, so k + 3 obeys the same limit
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "8")
+    assert psi(5) == 65
+    with pytest.raises(LimitError, match="word length 9 exceeds"):
+        psi(6)
+
+
 def _triangle(m, d):
     # T(m, d): length-m paths from depth d to depth 0 that never go below 0,
     # by T(m, d) = T(m-1, d-1) + T(m-1, d) + T(m-1, d+1) (OEIS A026300)
@@ -75,14 +84,14 @@ def _triangle(m, d):
 def test_psi_triangle_identity():
     # the words from "((0)0..0)" up to "()0(0..0)" split by prefix into
     # ()00.. (M[k-1]), ((0).. (T(k-1,1)), (() (T(k,1)) and ((( (T(k,3)),
-    # so the measured drop has this closed form
+    # so the drop has this closed form
     for k in range(2, 15):
         assert psi(k) == (_triangle(k - 1, 0) + _triangle(k - 1, 1)
                           + _triangle(k, 1) + _triangle(k, 3)), k
 
 
 def test_psi_is_site_independent_at_large_k():
-    # the measured drop must not depend on the host word
+    # the rank-verified drop must not depend on the host word
     k = 12
     hosts = [
         "()0(" + "0" * (k - 2) + ")",
@@ -100,10 +109,6 @@ def test_psi_is_site_independent_at_large_k():
 def test_psi_cache_is_thread_safe():
     from concurrent.futures import ThreadPoolExecutor
 
-    import motzkinrow.nav as nav
-
-    with nav._psi_lock:
-        nav._psi_cache.clear()
     with ThreadPoolExecutor(max_workers=6) as pool:
         values = list(pool.map(psi, [8] * 12))
     assert set(values) == {psi(8)}

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from motzkinrow import (
+    ArgumentError,
     AuditReport,
     Counterexample,
     LimitError,
@@ -105,6 +106,25 @@ def test_audit_outcomes():
 def test_audit_unknown_check():
     with pytest.raises(UnknownCheckError):
         audit("theorem_9_9", 5)
+
+
+@pytest.mark.parametrize("check, first", [
+    ("rank_roundtrip", 1), ("order_agreement", 1), ("theorem_2_4", 2),
+    ("corollary_3_1", 2), ("corollary_3_3", 3), ("corollary_4_1", 4),
+    ("conjecture_4_3", 4), ("psi_site_independence", 5), ("table_1", 5),
+    ("paper_examples", 0),
+])
+def test_audit_never_passes_vacuously(check, first):
+    # the first accepted scope already checks something; one below is refused
+    assert audit(check, first).counts > 0
+    with pytest.raises(ArgumentError):
+        audit(check, first - 1)
+
+
+def test_audit_needs_a_worker():
+    for workers in (0, -4):
+        with pytest.raises(ArgumentError):
+            audit("theorem_2_4", 6, workers=workers)
 
 
 def test_audit_parallel_matches_serial():

@@ -3,6 +3,7 @@ import pytest
 from motzkinrow import (
     AlphabetError,
     BlockSpan,
+    ConfigError,
     EmptyError,
     LimitError,
     MotzkinWord,
@@ -69,6 +70,13 @@ def test_word_length_limit(monkeypatch):
     with pytest.raises(LimitError):
         parse("(" + "0" * 10 + ")")
     parse("(000000)")  # at the limit
+
+
+@pytest.mark.parametrize("value", ["0", "-8", "x", "8.0", ""])
+def test_word_length_limit_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", value)
+    with pytest.raises(ConfigError, match="MOTZKINROW_MAX_WORD_LEN"):
+        parse("()")
 
 
 def test_parse_format_round_trip(row):
