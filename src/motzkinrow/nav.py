@@ -297,6 +297,7 @@ def control_points(n: int) -> list[tuple[str, MotzkinWord, int]]:
         raise ArgumentError(
             f"all seven landmarks need a range of at least 5, got {n}"
         )
+    check_length(n)  # before any landmark polynomial is evaluated
     half_pairs = "()" * ((n - 3) // 2) + "0" * ((n - 3) % 2)
     points = [
         ("min", "(" + "0" * (n - 2) + ")", motzkin(n - 1)),

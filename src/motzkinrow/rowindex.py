@@ -8,14 +8,17 @@ order; the words of length n occupy the index interval
 Ranking walks the word left to right and, at every position, adds the
 number of admissible completions for each strictly smaller symbol choice.
 Unranking runs the same walk in reverse, always taking the smallest symbol
-whose completion count still covers the remaining offset.  The neighbor
-functions do NOT use those counts at all: they rewrite one symbol and
-refill the tail directly, which keeps them an independent cross-check on
-rank/unrank.
+whose completion count still covers the remaining offset.  Both walks
+grow the completions table once, to the word's length, and then read its
+rows directly.  The neighbor functions do NOT use those counts at all:
+they rewrite one symbol and refill the tail directly, which keeps them an
+independent cross-check on rank/unrank.
 """
 
+from bisect import bisect_right
+
 from . import config
-from .bigcomb import completions, motzkin
+from .bigcomb import completion_rows, motzkin, motzkin_numbers
 from .errors import ArgumentError, LimitError, UnderflowError
 from .word import MotzkinWord, as_word
 
@@ -38,18 +41,19 @@ def rank(w) -> int:
         return 0
     n = len(w)
     total = motzkin(n - 1)
+    rows = completion_rows(n)
     depth = 0
     for i, ch in enumerate(w.text):
-        m = n - i - 1
         if ch == "(":
             # '0' is the only smaller symbol; it is barred from the first
             # position, where no canonical word may start with a zero.
             if i > 0:
-                total += completions(m, depth)
+                total += rows[n - i - 1][depth]
             depth += 1
         elif ch == ")":
-            total += completions(m, depth)      # a '0' would keep the depth
-            total += completions(m, depth + 1)  # a '(' would raise it
+            # a '0' would keep the depth, a '(' would raise it
+            row = rows[n - i - 1]
+            total += row[depth] + row[depth + 1]
             depth -= 1
     return total
 
@@ -60,24 +64,27 @@ def unrank(i: int) -> MotzkinWord:
         raise ArgumentError(f"indexes are nonnegative, got {i}")
     if i == 0:
         return MotzkinWord("0")
-    n = 1
-    while motzkin(n) <= i:
-        n += 1
-        if n > config.max_word_length():
-            raise LimitError(
-                f"index {i} needs a word longer than the configured maximum"
-            )
-    local = i - motzkin(n - 1)
+    # M[n] >= M[n-1] + 2 M[n-2] >= 2^(n-1), so an index below 2^b lies in
+    # a range no longer than b + 1
+    top = min(i.bit_length() + 1, config.max_word_length())
+    ms = motzkin_numbers(top)
+    n = bisect_right(ms, i, 1, top + 1)
+    if n > top:
+        raise LimitError(
+            f"index {i} needs a word longer than the configured maximum"
+        )
+    local = i - ms[n - 1]
+    rows = completion_rows(n)
     chars = ["("]
     depth = 1
     for pos in range(1, n):
-        m = n - pos - 1
-        c = completions(m, depth)
+        row = rows[n - pos - 1]
+        c = row[depth]
         if local < c:
             chars.append("0")
             continue
         local -= c
-        c = completions(m, depth + 1)
+        c = row[depth + 1]
         if local < c:
             chars.append("(")
             depth += 1

@@ -13,7 +13,6 @@ report counterexamples as data instead of asserting, so a scope extension
 can never crash the harness, only change the report.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import config
@@ -524,6 +523,10 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
         raise ArgumentError(f"workers must be at least 1, got {workers}")
     units = list(range(first, max_scope + 1)) if unit == "range" else [max_scope]
     if workers > 1 and len(units) > 1:
+        # imported here: the process pool machinery would otherwise cost
+        # every CLI start about a third of its import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_unit, units))
     else:

@@ -1,7 +1,11 @@
 import itertools
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import motzkinrow.bigcomb as bigcomb
 from motzkinrow import ArgumentError, completions, motzkin, unique_count
 
 MOTZKIN_PREFIX = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835]
@@ -13,8 +17,19 @@ def test_motzkin_published_values():
     assert [motzkin(n) for n in range(14)] == MOTZKIN_PREFIX
 
 
+@pytest.fixture
+def fresh_tables():
+    """Empty the process-wide tables, so the test sees them grow from the
+    start; later callers regrow them on demand."""
+    with bigcomb._lock:
+        bigcomb._motzkin[:] = [1, 1]
+        bigcomb._completions[:] = [[1]]
+        bigcomb._reach = 0
+
+
 def test_motzkin_matches_rational_recurrence():
-    # independent cross-check: (n+2) M[n] = (2n+1) M[n-1] + 3(n-1) M[n-2]
+    # the recurrence the table is built by:
+    # (n+2) M[n] = (2n+1) M[n-1] + 3(n-1) M[n-2]
     for n in range(2, 80):
         assert (n + 2) * motzkin(n) == (2 * n + 1) * motzkin(n - 1) + 3 * (
             n - 1
@@ -106,8 +121,8 @@ def test_completions_unreachable_depth_is_zero():
 
 
 def test_large_values_stay_exact():
-    # the rational recurrence requires exact divisibility, so agreement at
-    # n = 500 certifies the convolution table end to end
+    # the rational recurrence's division must come out exact at n = 500;
+    # test_motzkin_matches_convolution checks the values themselves
     n = 500
     assert (n + 2) * motzkin(n) == (2 * n + 1) * motzkin(n - 1) + 3 * (
         n - 1
@@ -115,17 +130,54 @@ def test_large_values_stay_exact():
     assert motzkin(n) % 10 == motzkin(n) - (motzkin(n) // 10) * 10
 
 
-def test_tables_survive_concurrent_growth():
-    from concurrent.futures import ThreadPoolExecutor
+def test_motzkin_matches_convolution():
+    # independent of the three-term recurrence: a word of length n + 1
+    # starts with 0, or with a pair "(" u ")" v around shorter words, so
+    # M[n+1] = M[n] + sum(M[k] * M[n-1-k] for k in 0..n-1)
+    ref = [1, 1]
+    for n in range(1, 500):
+        ref.append(ref[n] + sum(ref[k] * ref[n - 1 - k] for k in range(n)))
+    assert [motzkin(n) for n in range(501)] == ref
 
-    import motzkinrow.bigcomb as bigcomb
 
-    bigcomb._motzkin[:] = [1, 1]
-    bigcomb._completions[:] = [[1]]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        motzkins = list(pool.map(motzkin, [120] * 16))
-        rows = list(pool.map(lambda d: completions(90, d), range(16)))
+def test_completions_match_full_triangle(fresh_tables, triangle):
+    # every entry with m, d <= 300, the d > m zeros included, requested in
+    # a scrambled order from an empty table, so the cut L grows in uneven
+    # steps; after each step both sides of the new cut m + d = L are read
+    size = 300
+    tri = triangle(size)
+    pairs = [(m, d) for m in range(size + 1) for d in range(size + 1)]
+    random.Random(1977).shuffle(pairs)
+    steps = 0
+    for m, d in pairs:
+        reach = bigcomb._reach
+        assert completions(m, d) == tri[m][d], (m, d)
+        if bigcomb._reach == reach:
+            continue
+        steps += 1
+        for s in (bigcomb._reach, bigcomb._reach + 1):
+            for k in range(max(0, s - size), min(s, size) + 1):
+                assert completions(k, s - k) == tri[k][s - k], (k, s - k)
+    assert steps > 3
+
+
+def test_tables_survive_concurrent_growth(fresh_tables, triangle):
+    # many threads grow both tables at once, to different lengths, with
+    # frequent thread switches; every value must still be exact
+    tri = triangle(200)
+    requests = [(m, d) for m in range(60, 201, 7) for d in (0, 1, 5, 30)
+                if d <= m]
+    random.Random(7).shuffle(requests)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            motzkins = list(pool.map(motzkin, [120] * 16))
+            values = list(pool.map(lambda md: completions(*md), requests))
+    finally:
+        sys.setswitchinterval(interval)
     assert len(set(motzkins)) == 1
-    for d, value in enumerate(rows):
-        assert value == completions(90, d)
+    assert motzkins[0] == tri[120][0]
+    for (m, d), value in zip(requests, values):
+        assert value == tri[m][d], (m, d)
     assert completions(120, 0) == motzkin(120)

@@ -276,6 +276,14 @@ def test_bad_environment_values_are_usage_errors(capsys, monkeypatch, name,
     assert err == f"error: {name} must be a positive integer, got {value!r}\n"
 
 
+def test_control_points_past_the_length_limit_is_a_domain_error(capsys,
+                                                               monkeypatch):
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "8")
+    code, out, err = run_cli(capsys, "control-points", "9")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_bad_environment_value_spares_verbs_that_do_not_read_it(capsys,
                                                                  monkeypatch):
     monkeypatch.setenv("MOTZKINROW_AUDIT_SCOPE", "abc")
@@ -289,3 +297,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "21"
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only audit with several workers needs concurrent.futures; importing
+    # it on every start would cost each CLI call a third of its import time
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, motzkinrow.cli; "
+         "print(sorted(m for m in ('concurrent.futures.process', "
+         "'multiprocessing') if m in sys.modules))"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")

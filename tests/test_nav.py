@@ -307,6 +307,18 @@ def test_control_points_rank_equality_and_order():
         control_points(4)
 
 
+def test_control_points_fail_fast_past_the_length_limit(monkeypatch):
+    # the limit is checked before any landmark polynomial is evaluated
+    import motzkinrow.nav as nav
+
+    def no_polynomials(n):
+        raise AssertionError(f"motzkin({n}) evaluated before the limit check")
+
+    monkeypatch.setattr(nav, "motzkin", no_polynomials)
+    with pytest.raises(LimitError, match="word length 4097 exceeds"):
+        control_points(4097)
+
+
 def test_shift_then_unshift_round_trip(row):
     from motzkinrow import outer_blocks
 

@@ -4,6 +4,7 @@ import pytest
 
 from motzkinrow import (
     ArgumentError,
+    LimitError,
     MotzkinWord,
     UnderflowError,
     compare,
@@ -115,6 +116,21 @@ def test_range_landmarks():
         range_min(0)
 
 
+def test_unrank_finds_the_range_at_its_boundaries():
+    for n in range(2, 300):
+        assert unrank(motzkin(n - 1)) == range_min(n)[0]
+        assert unrank(motzkin(n) - 1) == range_max(n)[0]
+
+
+def test_unrank_keeps_to_the_word_length_limit(monkeypatch):
+    with pytest.raises(LimitError, match="longer than the configured maximum"):
+        unrank(motzkin(4096))
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "8")
+    assert unrank(motzkin(8) - 1).text == "()()()()"
+    with pytest.raises(LimitError, match="longer than the configured maximum"):
+        unrank(motzkin(8))
+
+
 def test_padded_inputs_are_coerced():
     assert successor("00()").text == "(0)"
     assert predecessor(parse("000(0)")).text == "()"
@@ -127,3 +143,53 @@ def test_range_boundary_identities():
         hi, hi_index = range_max(n)
         assert lo_index == motzkin(n - 1) == rank(lo)
         assert hi_index == motzkin(n) - 1 == rank(hi)
+
+
+def _random_word(rng, n):
+    """A canonical Motzkin word of length n >= 2: after the opening "(",
+    each symbol is drawn from those that still leave a valid tail."""
+    chars, depth = ["("], 1
+    for left in range(n - 2, -1, -1):
+        ch, depth = rng.choice([(ch, d) for ch, d in
+                                (("0", depth), ("(", depth + 1),
+                                 (")", depth - 1))
+                                if 0 <= d <= left])
+        chars.append(ch)
+    return "".join(chars)
+
+
+def _local_rank(text, tri):
+    # the rank walk over the test's own triangle: before the word's range
+    # come M[n-1] = T(n-1, 0) words, then one completion count for every
+    # smaller symbol choice along the word
+    n = len(text)
+    total, depth = tri[n - 1][0], 0
+    for i, ch in enumerate(text):
+        m = n - i - 1
+        if ch == "(":
+            total += tri[m][depth] if i > 0 else 0
+            depth += 1
+        elif ch == ")":
+            total += tri[m][depth] + tri[m][depth + 1]
+            depth -= 1
+    return total
+
+
+def test_rank_matches_local_triangle_up_to_length_512(triangle):
+    tri = triangle(512)
+    rng = random.Random(4096)
+    for n in range(2, 513):
+        text = _random_word(rng, n)
+        assert rank(text) == _local_rank(text, tri), text
+
+
+@pytest.mark.parametrize("n", [256, 1024, 2048])
+def test_long_words_rank_unrank_and_neighbors(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        w = parse(_random_word(rng, n))
+        i = rank(w)
+        nxt = successor(w)
+        assert rank(nxt) == i + 1
+        assert predecessor(nxt) == w
+        assert unrank(i) == w
