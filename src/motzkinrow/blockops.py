@@ -24,13 +24,11 @@ def noncrossing(x, y) -> bool:
     The zero word crosses nothing.  Two distinct words of equal length
     always cross (both open a block at the same leftmost position).
     """
-    bx = outer_blocks(as_word(x))
-    by = outer_blocks(as_word(y))
-    for a in bx:
-        for b in by:
-            if max(a.close_pos, b.close_pos) <= min(a.open_pos, b.open_pos):
-                return False
-    return True
+    spans = sorted(outer_blocks(as_word(x)) + outer_blocks(as_word(y)),
+                   key=lambda b: b.open_pos)
+    # with the spans ordered by their high ends, all are disjoint when each
+    # starts above the end of the one before it
+    return all(a.open_pos < b.close_pos for a, b in zip(spans, spans[1:]))
 
 
 def add(x, y) -> MotzkinWord:
@@ -45,7 +43,7 @@ def add(x, y) -> MotzkinWord:
     tx = x.text.rjust(n, "0")
     ty = y.text.rjust(n, "0")
     merged = "".join(a if a != "0" else b for a, b in zip(tx, ty))
-    return MotzkinWord(merged.lstrip("0") or "0")
+    return MotzkinWord._trusted(merged.lstrip("0") or "0")
 
 
 def includes(x, y) -> bool:
@@ -80,7 +78,7 @@ def sub(x, y) -> MotzkinWord:
     for b in outer_blocks(y):
         for i in range(nx - b.open_pos, nx - b.close_pos + 1):
             chars[i] = "0"
-    return MotzkinWord("".join(chars).lstrip("0") or "0")
+    return MotzkinWord._trusted("".join(chars).lstrip("0") or "0")
 
 
 def decompose_sum(w) -> tuple[list[MotzkinWord], int]:

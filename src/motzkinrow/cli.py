@@ -11,6 +11,7 @@ counterexample.
 """
 
 import argparse
+import os
 import sys
 
 from . import config
@@ -61,9 +62,21 @@ def _encode(ns, word):
     return text.translate(_TO_TRANSLIT) if ns.translit else text
 
 
+def _write(text):
+    """Write text to stdout.  A reader that closed the pipe early ends the
+    output, not the verb: stdout then points at os.devnull, so the rest of
+    the output and the exit-time flush go nowhere and the exit code stands."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(*lines):
-    for line in lines:
-        print(line)
+    _write("".join(f"{line}\n" for line in lines))
 
 
 # --- output shapes: each prints one kind of result in the chosen format ---
@@ -132,7 +145,7 @@ def _audit(ns, rep):
 
 
 def _text(ns, text):
-    sys.stdout.write(text)
+    _write(text)
 
 
 # --- the verbs -------------------------------------------------------------

@@ -29,7 +29,7 @@ All positions are 1-based from the right end of the word.
 
 from dataclasses import dataclass
 
-from .bigcomb import completions, motzkin
+from .bigcomb import motzkin
 from .errors import (
     ArgumentError,
     BlockedError,
@@ -39,15 +39,7 @@ from .errors import (
     WordError,
 )
 from .rowindex import rank
-from .word import (
-    BlockSpan,
-    MotzkinWord,
-    Symbol,
-    as_word,
-    check_length,
-    depth_before,
-    outer_blocks,
-)
+from .word import MotzkinWord, Symbol, as_word, check_length, depth_before
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,32 +81,35 @@ def zeta(k: int, l: int) -> int:
 def psi(k: int) -> int:
     """Index drop of the zero-gap block swap at position k:
     M[k-1] + T(k-1,1) + T(k,1) + T(k,3), with T(m,d) the Motzkin triangle
-    (``completions``).
+    (``completions``), which is M[k+3] - 3*M[k+2] + 2*M[k+1] + M[k].
 
     On the smallest host, "()0(0..0)" to "((0)0..0)" with the right block
     opening at k, the (k+3)-words between the two sides split by prefix
-    into ()00.., ((0).., (() and (((, which the four terms count.  That
-    every other host drops by the same amount is audited
-    (``psi_site_independence``), not assumed.
+    into ()00.., ((0).., (() and (((, which the four terms count.  With
+    T(m,1) = M[m+1] - M[m] and T(m,3) = M[m+3] - 3*M[m+2] + M[m+1] + M[m]
+    the sum needs the Motzkin numbers alone.  That every other host drops
+    by the same amount is audited (``psi_site_independence``), not
+    assumed.
     """
     if k < 2:
         raise ArgumentError(f"psi needs k >= 2, got {k}")
     check_length(k + 3)  # the drop is taken between (k+3)-words
-    return (motzkin(k - 1) + completions(k - 1, 1) + completions(k, 1)
-            + completions(k, 3))
+    return (motzkin(k + 3) - 3 * motzkin(k + 2) + 2 * motzkin(k + 1)
+            + motzkin(k))
 
 
-def _outer_block(w: MotzkinWord, k: int, side: str) -> BlockSpan:
-    """The outer block whose opening (side "open") or closing (side
-    "close") bracket sits at position k."""
-    for b in outer_blocks(w):
-        if (b.open_pos if side == "open" else b.close_pos) == k:
-            return b
-    bracket = "opening" if side == "open" else "closing"
-    raise SiteError(
-        f"position {k} of {w.text!r} is not the {bracket} bracket of an "
-        "outer block"
-    )
+def _check_outer_bracket(w: MotzkinWord, k: int, side: str) -> None:
+    """Raise SiteError unless position k holds the opening (side "open")
+    or closing (side "close") bracket of an outer block: a '(' with depth
+    0 before it, or a ')' with depth 1 before it."""
+    ch, depth = ("(", 0) if side == "open" else (")", 1)
+    if not (1 <= k <= len(w) and w.text[-k] == ch
+            and depth_before(w, k) == depth):
+        bracket = "opening" if side == "open" else "closing"
+        raise SiteError(
+            f"position {k} of {w.text!r} is not the {bracket} bracket of an "
+            "outer block"
+        )
 
 
 def _rewrite(w: MotzkinWord, assignments: dict[int, str]) -> MotzkinWord:
@@ -153,7 +148,7 @@ def shift_open(w, k: int, j: int) -> DeltaReport:
     rightward moves stay inside the block.  Delta: M[k-1+j] - M[k-1].
     """
     w = as_word(w)
-    _outer_block(w, k, "open")
+    _check_outer_bracket(w, k, "open")
     if k + j < 1:
         raise ArgumentError(f"target position {k + j} is below 1")
     if j > 0:
@@ -179,7 +174,7 @@ def shift_close(w, k: int, direction: str) -> DeltaReport:
     length never changes.
     """
     w = as_word(w)
-    _outer_block(w, k, "close")
+    _check_outer_bracket(w, k, "close")
     if direction == "left":
         if w.symbol_at(k + 1) is not Symbol.ZERO:
             raise BlockedError(
@@ -205,8 +200,8 @@ def remove_pair(w, k: int, l: int) -> DeltaReport:
     w = as_word(w)
     if not l > k >= 2:
         raise ArgumentError(f"remove_pair needs l > k >= 2, got ({k}, {l})")
-    _outer_block(w, l, "close")
-    _outer_block(w, k, "open")
+    _check_outer_bracket(w, l, "close")
+    _check_outer_bracket(w, k, "open")
     for p in range(k + 1, l):
         if w.symbol_at(p) is not Symbol.ZERO:
             raise SiteError(
@@ -245,8 +240,8 @@ def merge_adjacent(w, k: int) -> DeltaReport:
     verified delta is the authority; callers can compare the two.
     """
     w = as_word(w)
-    _outer_block(w, k + 1, "close")
-    _outer_block(w, k, "open")
+    _check_outer_bracket(w, k + 1, "close")
+    _check_outer_bracket(w, k, "open")
     after = _rewrite(w, {k + 1: "(", k: ")"})
     return _report(w, after, -motzkin(k), (k + 1, k), proven=False)
 
@@ -275,15 +270,16 @@ def swap_across_zero(w, k: int) -> DeltaReport:
     """Fuse two outer blocks separated by exactly one zero: the close
     bracket at k+2 and the open bracket at k swap, leaving a nested "(0)".
 
-    The predicted drop is the closed form psi(k).  That it holds on every
-    host is audited, not proven, so a disagreement with the rank-verified
-    delta is reported, not raised.
+    The predicted drop is the closed form psi(k) = M[k-1] + T(k-1,1) +
+    T(k,1) + T(k,3) = M[k+3] - 3*M[k+2] + 2*M[k+1] + M[k].  That it holds
+    on every host is audited, not proven, so a disagreement with the
+    rank-verified delta is reported, not raised.
     """
     w = as_word(w)
-    _outer_block(w, k + 2, "close")
+    _check_outer_bracket(w, k + 2, "close")
     if w.symbol_at(k + 1) is not Symbol.ZERO:
         raise SiteError(f"position {k + 1} of {w.text!r} is not a zero")
-    _outer_block(w, k, "open")
+    _check_outer_bracket(w, k, "open")
     after = _rewrite(w, {k + 2: "(", k: ")"})
     return _report(w, after, -psi(k), (k + 2, k + 1, k), proven=False)
 

@@ -12,7 +12,10 @@ whose completion count still covers the remaining offset.  Both walks
 grow the completions table once, to the word's length, and then read its
 rows directly.  The neighbor functions do NOT use those counts at all:
 they rewrite one symbol and refill the tail directly, which keeps them an
-independent cross-check on rank/unrank.
+independent cross-check on rank/unrank.  A tail of m symbols that starts
+at depth d is smallest as ``"0"*(m-d) + ")"*d`` (zeros, then the closing
+brackets) and largest as ``")"*d + "()"*((m-d)//2) + "0"*((m-d)%2)``
+(the closing brackets first, then adjacent pairs and at most one zero).
 """
 
 from bisect import bisect_right
@@ -63,7 +66,7 @@ def unrank(i: int) -> MotzkinWord:
     if i < 0:
         raise ArgumentError(f"indexes are nonnegative, got {i}")
     if i == 0:
-        return MotzkinWord("0")
+        return MotzkinWord._trusted("0")
     # M[n] >= M[n-1] + 2 M[n-2] >= 2^(n-1), so an index below 2^b lies in
     # a range no longer than b + 1
     top = min(i.bit_length() + 1, config.max_word_length())
@@ -92,48 +95,7 @@ def unrank(i: int) -> MotzkinWord:
         local -= c
         chars.append(")")
         depth -= 1
-    return MotzkinWord("".join(chars))
-
-
-def _feasible(depth: int, remaining: int) -> bool:
-    # A tail exists iff the depth can be unwound in the remaining symbols.
-    return 0 <= depth <= remaining
-
-
-def _fill_min(depth: int, m: int) -> str:
-    """Lexicographically smallest valid tail of length m from depth."""
-    out = []
-    for r in range(m, 0, -1):
-        for ch, d2 in (("0", depth), ("(", depth + 1), (")", depth - 1)):
-            if _feasible(d2, r - 1):
-                out.append(ch)
-                depth = d2
-                break
-    return "".join(out)
-
-
-def _fill_max(depth: int, m: int) -> str:
-    """Lexicographically largest valid tail of length m from depth."""
-    out = []
-    for r in range(m, 0, -1):
-        for ch, d2 in ((")", depth - 1), ("(", depth + 1), ("0", depth)):
-            if _feasible(d2, r - 1):
-                out.append(ch)
-                depth = d2
-                break
-    return "".join(out)
-
-
-def _prefix_depths(text: str) -> list[int]:
-    depths = [0]
-    d = 0
-    for ch in text:
-        if ch == "(":
-            d += 1
-        elif ch == ")":
-            d -= 1
-        depths.append(d)
-    return depths
+    return MotzkinWord._trusted("".join(chars))
 
 
 def successor(w) -> MotzkinWord:
@@ -141,25 +103,25 @@ def successor(w) -> MotzkinWord:
     all-zero block that opens the next range."""
     w = as_word(w)
     if w.is_zero:
-        return MotzkinWord("()")
+        return MotzkinWord._trusted("()")
     text = w.text
     n = len(text)
-    depths = _prefix_depths(text)
-    # Right to left, find the first symbol replaceable by a larger one.
+    d = 0
+    # Right to left, find the first symbol replaceable by a larger one; d
+    # is the depth left of position i and m the length of the tail.
     for i in range(n - 1, 0, -1):
-        d = depths[i]
+        ch = text[i]
+        d += (ch == ")") - (ch == "(")
         m = n - i - 1
-        current = text[i]
-        if current == "0":
-            bigger = (("(", d + 1), (")", d - 1))
-        elif current == "(":
-            bigger = ((")", d - 1),)
+        if ch == "0" and d < m:
+            ch, d = "(", d + 1
+        elif ch != ")" and d > 0:
+            ch, d = ")", d - 1
         else:
-            bigger = ()
-        for ch, d2 in bigger:
-            if _feasible(d2, m):
-                return MotzkinWord(text[:i] + ch + _fill_min(d2, m))
-    # w is the maximum of its range.
+            continue
+        return MotzkinWord._trusted(text[:i] + ch + "0" * (m - d) + ")" * d)
+    # w is the maximum of its range; validated, since the next range may
+    # pass the length limit.
     return MotzkinWord("(" + "0" * (n - 1) + ")")
 
 
@@ -169,23 +131,23 @@ def predecessor(w) -> MotzkinWord:
     if w.is_zero:
         raise UnderflowError('"0" is the first word of the row')
     if w.text == "()":
-        return MotzkinWord("0")
+        return MotzkinWord._trusted("0")
     text = w.text
     n = len(text)
-    depths = _prefix_depths(text)
+    d = 0
     for i in range(n - 1, 0, -1):
-        d = depths[i]
+        ch = text[i]
+        d += (ch == ")") - (ch == "(")
         m = n - i - 1
-        current = text[i]
-        if current == ")":
-            smaller = (("(", d + 1), ("0", d))
-        elif current == "(":
-            smaller = (("0", d),)
+        if ch == ")" and d < m:
+            ch, d = "(", d + 1
+        elif ch != "0" and d <= m:
+            ch = "0"
         else:
-            smaller = ()
-        for ch, d2 in smaller:
-            if _feasible(d2, m):
-                return MotzkinWord(text[:i] + ch + _fill_max(d2, m))
+            continue
+        r = m - d
+        return MotzkinWord._trusted(
+            text[:i] + ch + ")" * d + "()" * (r // 2) + "0" * (r % 2))
     # w is the minimum of its range.
     return range_max(n - 1)[0]
 

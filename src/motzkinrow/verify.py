@@ -13,7 +13,9 @@ report counterexamples as data instead of asserting, so a scope extension
 can never crash the harness, only change the report.
 """
 
+import re
 from dataclasses import dataclass
+from functools import partial
 
 from . import config
 from .bigcomb import motzkin, unique_count
@@ -39,7 +41,14 @@ from .nav import (
     zeta,
 )
 from .rowindex import compare, rank, unrank
-from .word import MotzkinWord, Symbol, decompose, outer_blocks
+from .word import (
+    MotzkinWord,
+    Symbol,
+    check_length,
+    decompose,
+    depth_before,
+    outer_blocks,
+)
 
 _LEX_ORDER = {"0": 0, "(": 1, ")": 2}
 
@@ -56,8 +65,9 @@ def enumerate_range(n: int) -> list[MotzkinWord]:
             f"range {n} exceeds the enumeration limit "
             f"{config.enum_range_limit()}"
         )
+    check_length(n)
     if n == 1:
-        return [MotzkinWord("0")]
+        return [MotzkinWord._trusted("0")]
     found: list[str] = []
     prefix = ["("]
 
@@ -73,7 +83,7 @@ def enumerate_range(n: int) -> list[MotzkinWord]:
 
     grow(1, n - 1)
     found.sort(key=lambda t: [_LEX_ORDER[c] for c in t])
-    return [MotzkinWord(t) for t in found]
+    return [MotzkinWord._trusted(t) for t in found]
 
 
 def _range_base(n: int) -> int:
@@ -233,23 +243,9 @@ def _run_corollary_3_3(n):
 def _interior_zero_runs(w):
     """Maximal runs of zeros sitting at depth 1, as (high, low) positions."""
     n = len(w)
-    runs = []
-    depth = 0
-    start = None
-    for i, ch in enumerate(w.text):
-        pos = n - i
-        if ch == "0" and depth == 1:
-            if start is None:
-                start = pos
-            continue
-        if start is not None:
-            runs.append((start, pos + 1))
-            start = None
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-    return runs
+    return [(n - run.start(), n - run.end() + 1)
+            for run in re.finditer("0+", w.text)
+            if depth_before(w, n - run.start()) == 1]
 
 
 def _run_corollary_4_1(n):
@@ -272,31 +268,18 @@ def _run_corollary_4_1(n):
     return count, bad
 
 
-def _run_conjecture_4_3(n):
+def _run_block_pairs(gap, label, move, n):
+    """Apply move at every pair of neighboring outer blocks whose touching
+    brackets sit gap positions apart (1: merge, 2: zero-gap swap)."""
     bad = []
     count = 0
     for w in enumerate_range(n):
         blocks = outer_blocks(w)
         for left, right in zip(blocks, blocks[1:]):
-            if left.close_pos == right.open_pos + 1:
-                rep = merge_adjacent(w, right.open_pos)
+            if left.close_pos == right.open_pos + gap:
+                rep = move(w, right.open_pos)
                 if not rep.agrees:
-                    bad.append(_cx(w.text, f"merge k={right.open_pos}",
-                                   rep.predicted_delta, rep.verified_delta))
-                count += 1
-    return count, bad
-
-
-def _run_psi_site_independence(n):
-    bad = []
-    count = 0
-    for w in enumerate_range(n):
-        blocks = outer_blocks(w)
-        for left, right in zip(blocks, blocks[1:]):
-            if left.close_pos == right.open_pos + 2:
-                rep = swap_across_zero(w, right.open_pos)
-                if not rep.agrees:
-                    bad.append(_cx(w.text, f"swap k={right.open_pos}",
+                    bad.append(_cx(w.text, f"{label} k={right.open_pos}",
                                    rep.predicted_delta, rep.verified_delta))
                 count += 1
     return count, bad
@@ -489,9 +472,13 @@ _CHECKS = {
     "corollary_3_1": ("theorem", _run_corollary_3_1, 2, "range"),
     "corollary_3_3": ("theorem", _run_corollary_3_3, 3, "range"),
     "corollary_4_1": ("theorem", _run_corollary_4_1, 4, "range"),
-    "conjecture_4_3": ("conjecture", _run_conjecture_4_3, 4, "range"),
-    "psi_site_independence": ("conjecture", _run_psi_site_independence, 5,
-                              "range"),
+    "conjecture_4_3": ("conjecture",
+                       partial(_run_block_pairs, 1, "merge", merge_adjacent),
+                       4, "range"),
+    "psi_site_independence": ("conjecture",
+                              partial(_run_block_pairs, 2, "swap",
+                                      swap_across_zero),
+                              5, "range"),
     "table_1": ("theorem", _run_table_1, 5, "range"),
     "paper_examples": ("theorem", _run_paper_examples, 0, "scope"),
 }

@@ -8,6 +8,11 @@ Positions are 1-based and counted from the RIGHT end of the word, exactly
 like digit positions in an integer.  Any position past the left end reads
 as a virtual zero, which is what lets words of different lengths line up
 for comparison and overlay.
+
+``MotzkinWord(text)``, ``parse`` and ``as_word`` on a string validate their
+input.  Words the library assembles from already-valid pieces (unrank, the
+row neighbours, block sums and differences, extended blocks, the
+enumerator) skip that check through the private ``MotzkinWord._trusted``.
 """
 
 from __future__ import annotations
@@ -97,6 +102,13 @@ class MotzkinWord:
                 f"{self.text!r} starts with a zero; parse() turns leading "
                 "zeros into padding"
             )
+
+    @classmethod
+    def _trusted(cls, text: str) -> "MotzkinWord":
+        """Wrap text the caller built to be a valid canonical word."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "text", text)
+        return word
 
     def __str__(self) -> str:
         return self.text
@@ -236,15 +248,19 @@ def outer_blocks(w) -> list[BlockSpan]:
     return spans
 
 
+def _block_word(w: MotzkinWord, b: BlockSpan) -> MotzkinWord:
+    n = len(w)
+    body = w.text[n - b.open_pos : n - b.close_pos + 1]
+    return MotzkinWord._trusted(body + "0" * (b.close_pos - 1))
+
+
 def extended_block(w, b: BlockSpan) -> MotzkinWord:
     """The word obtained by zeroing everything of w outside the outer
     block b, then dropping the leading zeros (trailing ones stay)."""
     w = as_word(w)
     if b not in outer_blocks(w):
         raise SpanError(f"{b} is not an outer block of {w.text!r}")
-    n = len(w)
-    body = w.text[n - b.open_pos : n - b.close_pos + 1]
-    return MotzkinWord(body + "0" * (b.close_pos - 1))
+    return _block_word(w, b)
 
 
 def decompose(w) -> list[MotzkinWord]:
@@ -253,7 +269,7 @@ def decompose(w) -> list[MotzkinWord]:
     blocks = outer_blocks(w)
     if not blocks:
         raise ZeroWordError(f"{w.text!r} has no brackets to decompose")
-    return [extended_block(w, b) for b in blocks]
+    return [_block_word(w, b) for b in blocks]
 
 
 def depth_before(w, k: int) -> int:
@@ -261,13 +277,5 @@ def depth_before(w, k: int) -> int:
     w = as_word(w)
     if k < 1:
         raise ArgumentError(f"positions are numbered from 1, got {k}")
-    n = len(w)
-    if k >= n:
-        return 0
-    depth = 0
-    for ch in w.text[: n - k]:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-    return depth
+    head = w.text[: max(len(w) - k, 0)]
+    return head.count("(") - head.count(")")

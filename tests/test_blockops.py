@@ -9,6 +9,7 @@ from motzkinrow import (
     decompose_sum,
     includes,
     noncrossing,
+    outer_blocks,
     rank,
     sub,
 )
@@ -35,6 +36,19 @@ def test_equal_length_distinct_words_cross(row):
     for a in words:
         for b in words:
             assert not noncrossing(a, b)
+
+
+def test_noncrossing_is_pairwise_span_disjointness(row_through):
+    # reference: no outer block of one word shares a position with an outer
+    # block of the other, checked over every pair of spans
+    def disjoint(x, y):
+        return all(a.open_pos < b.close_pos or b.open_pos < a.close_pos
+                   for a in outer_blocks(x) for b in outer_blocks(y))
+
+    words = row_through(7)
+    for x in words:
+        for y in words:
+            assert noncrossing(x, y) == disjoint(x, y), (x.text, y.text)
 
 
 def test_add_examples():

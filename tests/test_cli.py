@@ -299,6 +299,26 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "21"
 
 
+def test_closed_stdout_pipe_ends_the_output_quietly():
+    # a reader that stops early, as in "| head -1", is not a domain error:
+    # the verb keeps exit code 0 and writes nothing to stderr.  The output
+    # (about 2 MB) is far larger than a pipe buffer, so the write is still
+    # under way when the pipe closes.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "motzkinrow", "--format", "lines", "seq",
+         "motzkin", "3000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.readline() == b"value=1\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
 def test_cli_import_leaves_out_the_process_pool():
     # only audit with several workers needs concurrent.futures; importing
     # it on every start would cost each CLI call a third of its import time

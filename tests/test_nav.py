@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from motzkinrow import (
@@ -88,6 +91,18 @@ def test_psi_triangle_identity():
     for k in range(2, 15):
         assert psi(k) == (_triangle(k - 1, 0) + _triangle(k - 1, 1)
                           + _triangle(k, 1) + _triangle(k, 3)), k
+
+
+def test_psi_reads_no_completion_counts():
+    # psi is a polynomial in Motzkin numbers, so even a large k leaves the
+    # completions table of a fresh process empty
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import motzkinrow.bigcomb as b, motzkinrow.nav as nav; "
+         "nav.psi(2000); print(b._reach)"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n")
 
 
 def test_psi_is_site_independent_at_large_k():
@@ -330,3 +345,88 @@ def test_shift_then_unshift_round_trip(row):
                 back = shift_open(there.after, k + 1, -1)
                 assert back.after == w
                 assert there.verified_delta + back.verified_delta == 0
+
+
+# Error class and message of every nav family at the positions just outside
+# the word (0, -1, len + 1, len + 3); two-position families vary each end.
+EDGE_WORD = "()0(0)()"
+EDGE_CALLS = {
+    "shift_open": lambda k: shift_open(EDGE_WORD, k, 1),
+    "shift_open_right": lambda k: shift_open(EDGE_WORD, k, -1),
+    "shift_close": lambda k: shift_close(EDGE_WORD, k, "left"),
+    "shift_close_right": lambda k: shift_close(EDGE_WORD, k, "right"),
+    "remove_pair_l": lambda k: remove_pair(EDGE_WORD, 2, k),
+    "remove_pair_k": lambda k: remove_pair(EDGE_WORD, k, k + 1),
+    "insert_pair_l": lambda k: insert_pair(EDGE_WORD, 2, k),
+    "insert_pair_k": lambda k: insert_pair(EDGE_WORD, k, k + 1),
+    "merge_adjacent": lambda k: merge_adjacent(EDGE_WORD, k),
+    "split_block": lambda k: split_block(EDGE_WORD, k),
+    "swap_across_zero": lambda k: swap_across_zero(EDGE_WORD, k),
+}
+
+
+def _bracket(k, which):
+    return SiteError, (f"position {k} of '()0(0)()' is not the {which} "
+                       "bracket of an outer block")
+
+
+def _needs(name, k, l):
+    return ArgumentError, f"{name} needs l > k >= 2, got ({k}, {l})"
+
+
+def _numbered(k):
+    return ArgumentError, f"positions are numbered from 1, got {k}"
+
+
+EDGE_ERRORS = [
+    *[(call, k, *_bracket(k, "opening"))
+      for call in ("shift_open", "shift_open_right") for k in (0, -1, 9, 11)],
+    *[(call, k, *_bracket(k, "closing"))
+      for call in ("shift_close", "shift_close_right") for k in (0, -1, 9, 11)],
+    ("remove_pair_l", 0, *_needs("remove_pair", 2, 0)),
+    ("remove_pair_l", -1, *_needs("remove_pair", 2, -1)),
+    ("remove_pair_l", 9, *_bracket(9, "closing")),
+    ("remove_pair_l", 11, *_bracket(11, "closing")),
+    ("remove_pair_k", 0, *_needs("remove_pair", 0, 1)),
+    ("remove_pair_k", -1, *_needs("remove_pair", -1, 0)),
+    ("remove_pair_k", 9, *_bracket(10, "closing")),
+    ("remove_pair_k", 11, *_bracket(12, "closing")),
+    ("insert_pair_l", 0, *_needs("insert_pair", 2, 0)),
+    ("insert_pair_l", -1, *_needs("insert_pair", 2, -1)),
+    ("insert_pair_l", 9, SiteError,
+     "positions 9..2 of '()0(0)()' are not all zeros"),
+    ("insert_pair_l", 11, SiteError,
+     "positions 11..2 of '()0(0)()' are not all zeros"),
+    ("insert_pair_k", 0, *_needs("insert_pair", 0, 1)),
+    ("insert_pair_k", -1, *_needs("insert_pair", -1, 0)),
+    ("insert_pair_k", 9, SiteError,
+     "positions 10..9 of '()0(0)()' do not lie directly inside an outer "
+     "block"),
+    ("insert_pair_k", 11, SiteError,
+     "positions 12..11 of '()0(0)()' do not lie directly inside an outer "
+     "block"),
+    ("merge_adjacent", 0, *_bracket(0, "opening")),
+    ("merge_adjacent", -1, *_bracket(0, "closing")),
+    ("merge_adjacent", 9, *_bracket(10, "closing")),
+    ("merge_adjacent", 11, *_bracket(12, "closing")),
+    ("split_block", 0, SiteError,
+     "positions 1, 0 of '()0(0)()' are not an adjacent bracket pair"),
+    ("split_block", -1, *_numbered(0)),
+    ("split_block", 9, SiteError,
+     "positions 10, 9 of '()0(0)()' are not an adjacent bracket pair"),
+    ("split_block", 11, SiteError,
+     "positions 12, 11 of '()0(0)()' are not an adjacent bracket pair"),
+    ("swap_across_zero", 0, *_bracket(2, "closing")),
+    ("swap_across_zero", -1, *_numbered(0)),
+    ("swap_across_zero", 9, *_bracket(11, "closing")),
+    ("swap_across_zero", 11, *_bracket(13, "closing")),
+]
+
+
+@pytest.mark.parametrize("call, k, error, message", EDGE_ERRORS,
+                         ids=[f"{call}[{k}]" for call, k, *_ in EDGE_ERRORS])
+def test_nav_errors_just_outside_the_word(call, k, error, message):
+    with pytest.raises(error) as caught:
+        EDGE_CALLS[call](k)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
