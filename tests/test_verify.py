@@ -178,3 +178,60 @@ def test_addendum_layout_and_entries():
 def test_addendum_limit():
     with pytest.raises(LimitError):
         regenerate_addendum(16)
+
+
+@pytest.fixture
+def wrong_polynomials(monkeypatch):
+    """Put one off-by-one fault into each nav polynomial family: xi(4),
+    zeta(., 6), the Motzkin number M[5] that nav reads and psi(6)."""
+    from motzkinrow import nav
+
+    xi, zeta, mot, psi = nav.xi, nav.zeta, nav.motzkin, nav.psi
+    monkeypatch.setattr(nav, "xi", lambda k: xi(k) + (k == 4))
+    monkeypatch.setattr(nav, "zeta", lambda k, l: zeta(k, l) + (l == 6))
+    monkeypatch.setattr(nav, "motzkin", lambda n: mot(n) + (n == 5))
+    monkeypatch.setattr(nav, "psi", lambda k: psi(k) + (k == 6))
+
+
+@pytest.mark.parametrize("check, checked, found, head, tail", [
+    ("corollary_3_1", 1028, 197,
+     "word=(00) site='open k=4 j=+2' predicted=18 verified=17",
+     ("word=()(0)(0) site='open k=6 j=-1' predicted=-13 verified=-12",
+      "word=()(0)()0 site='open k=6 j=-1' predicted=-13 verified=-12")),
+    ("corollary_3_3", 378, 130,
+     "word=(0)00 site='close k=3 left' predicted=6 verified=5",
+     ("word=()()0(0) site='close k=5 right' predicted=-12 verified=-13",
+      "word=()()0()0 site='close k=5 right' predicted=-12 verified=-13")),
+    ("corollary_4_1", 392, 212,
+     "word=(000) site='insert (2,4)' predicted=10 verified=9",
+     ("word=()()()() site='remove (4,5)' predicted=-24 verified=-25",
+      "word=()()()() site='remove (6,7)' predicted=-167 verified=-166")),
+    ("conjecture_4_3", 133, 24,
+     "word=()(000) site='merge k=5' predicted=-22 verified=-21",
+     ("word=(0)()(0) site='merge k=5' predicted=-22 verified=-21",
+      "word=(0)()()0 site='merge k=5' predicted=-22 verified=-21")),
+    ("psi_site_independence", 44, 44,
+     "word=()0() site='swap k=2' predicted=-5 verified=-4",
+     ("word=()()0(0) site='swap k=3' predicted=-7 verified=-10",
+      "word=()()0()0 site='swap k=3' predicted=-7 verified=-10")),
+    ("table_1", 28, 4,
+     "word=range 5 site='landmark leading_pair of range 5: polynomial index "
+     "18 disagrees with rank 17' predicted=None verified=None",
+     ("word=range 7 site='landmark pair_inside_block of range 7: polynomial "
+      "index 69 disagrees with rank 70' predicted=None verified=None",
+      "word=range 8 site='landmark pair_inside_block of range 8: polynomial "
+      "index 177 disagrees with rank 178' predicted=None verified=None")),
+])
+def test_failing_audit_reports_are_pinned(wrong_polynomials, check, checked,
+                                          found, head, tail):
+    rep = audit(check, 8)
+    assert (rep.outcome, rep.counts, len(rep.counterexamples)) == (
+        "fail", checked, found)
+    lines = report_lines(rep).splitlines()
+    record = f"counterexample check={check} "
+    assert lines[:2] == [
+        f"check={check} scope=8 outcome=fail checked={checked} "
+        f"counterexamples={found}",
+        record + head,
+    ]
+    assert lines[-2:] == [record + t for t in tail]
