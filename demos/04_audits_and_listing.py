@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Letting the brute-force oracle keep everybody honest.
 
-The enumerate-and-sort oracle shares no code with the completion-count
+The generation-order oracle shares no code with the completion-count
 arithmetic, so their agreement actually means something.  Audits sweep
 whole ranges site by site; proof-backed checks must come back clean,
 while the conjectured merge delta and the psi drop, whose site

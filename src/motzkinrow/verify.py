@@ -1,18 +1,22 @@
 """Brute-force oracle and batch audits.
 
 The enumerator here is the package's independent ground truth: it builds
-every canonical word of a range by depth-tracked recursive generation and
-sorting, sharing no code with the completion-count arithmetic that rank
-and unrank use.  Agreement between the two is therefore evidence, not a
-tautology.
+every canonical word of a range by depth-tracked recursive generation in
+symbol order, which is row order, sharing no code with the
+completion-count arithmetic that rank and unrank use.  Agreement between
+the two is therefore evidence, not a tautology.
 
 Audits run a named exhaustive check over bounded ranges and return a
-structured report.  Checks backed by proofs are expected to pass; the
-conjectured ones (block merge deltas, zero-gap swap site-independence)
-report counterexamples as data instead of asserting, so a scope extension
-can never crash the harness, only change the report.
+structured report.  Every per-word check is a probe: a generator that
+yields one (site, predicted, verified) triple per checked site, driven by
+one loop over the oracle's words and their indexes.  Checks backed by
+proofs are expected to pass; the conjectured ones (block merge deltas,
+zero-gap swap site-independence) report counterexamples as data instead
+of asserting, so a scope extension can never crash the harness, only
+change the report.
 """
 
+import os
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -50,14 +54,8 @@ from .word import (
     outer_blocks,
 )
 
-_LEX_ORDER = {"0": 0, "(": 1, ")": 2}
 
-
-def enumerate_range(n: int) -> list[MotzkinWord]:
-    """All canonical n-words in row order, by recursive generation.
-
-    Serves as the oracle for rank/unrank and never calls either.
-    """
+def _check_range(n: int) -> None:
     if n < 1:
         raise ArgumentError(f"ranges are numbered from 1, got {n}")
     if n > config.enum_range_limit():
@@ -65,25 +63,36 @@ def enumerate_range(n: int) -> list[MotzkinWord]:
             f"range {n} exceeds the enumeration limit "
             f"{config.enum_range_limit()}"
         )
+
+
+def _grow(prefix, depth, remaining, found):
+    # Append every way to finish prefix at depth 0 in `remaining` symbols.
+    # Not a closure: one that calls itself is a cycle that would keep each
+    # returned list alive until the cyclic collector runs.
+    if remaining == 0:
+        found.append(MotzkinWord._trusted("".join(prefix)))
+        return
+    for ch, d2 in (("0", depth), ("(", depth + 1), (")", depth - 1)):
+        if 0 <= d2 <= remaining - 1:
+            prefix.append(ch)
+            _grow(prefix, d2, remaining - 1, found)
+            prefix.pop()
+
+
+def enumerate_range(n: int) -> list[MotzkinWord]:
+    """All canonical n-words in row order, by recursive generation.
+
+    Each position tries 0, ( and ) in symbol order, which is row order,
+    so the words come out ranked without a sort.  Serves as the oracle
+    for rank/unrank and never calls either.
+    """
+    _check_range(n)
     check_length(n)
     if n == 1:
         return [MotzkinWord._trusted("0")]
-    found: list[str] = []
-    prefix = ["("]
-
-    def grow(depth, remaining):
-        if remaining == 0:
-            found.append("".join(prefix))
-            return
-        for ch, d2 in (("0", depth), ("(", depth + 1), (")", depth - 1)):
-            if 0 <= d2 <= remaining - 1:
-                prefix.append(ch)
-                grow(d2, remaining - 1)
-                prefix.pop()
-
-    grow(1, n - 1)
-    found.sort(key=lambda t: [_LEX_ORDER[c] for c in t])
-    return [MotzkinWord._trusted(t) for t in found]
+    found: list[MotzkinWord] = []
+    _grow(["("], 1, n - 1, found)
+    return found
 
 
 def _range_base(n: int) -> int:
@@ -134,28 +143,98 @@ class AuditReport:
 
 # ---------------------------------------------------------------------------
 # per-check workers; each takes one unit of work (usually a range number)
-# and returns (items_checked, [counterexample tuples]) so that units can be
-# farmed out to processes and merged deterministically afterwards.
+# and returns (items_checked, [(word, site, predicted, verified)]) so that
+# units can be farmed out to processes and merged deterministically.
 # ---------------------------------------------------------------------------
 
 
-def _cx(word, site, predicted=None, verified=None):
-    return (word, site, predicted, verified)
-
-
-def _run_rank_roundtrip(n):
-    words = enumerate_range(n)
-    base = _range_base(n)
+def _run_words(probe, n):
+    """Run probe(word, index) over the n-range in row order.  Each
+    (site, predicted, verified) triple it yields is one check; one whose
+    predicted and verified values differ is a counterexample."""
+    count = 0
     bad = []
-    for i, w in enumerate(words):
-        expected = base + i
-        back = unrank(expected)
-        r = rank(w)
-        if back != w:
-            bad.append(_cx(w.text, f"unrank({expected})={back.text}", expected, None))
-        if r != expected:
-            bad.append(_cx(w.text, "rank", expected, r))
-    return 2 * len(words), bad
+    for i, w in enumerate(enumerate_range(n), _range_base(n)):
+        for site, predicted, verified in probe(w, i):
+            count += 1
+            if predicted != verified:
+                bad.append((w.text, site, predicted, verified))
+    return count, bad
+
+
+def _report_of(move, *args):
+    """The DeltaReport of one nav move, also when a proven family raises
+    PolynomialMismatchError over it: the report rides on the error."""
+    try:
+        return move(*args)
+    except PolynomialMismatchError as exc:
+        return exc.report
+
+
+def _nav_site(site, move, *args):
+    rep = _report_of(move, *args)
+    return site, rep.predicted_delta, rep.verified_delta
+
+
+# --- probes: one generator of (site, predicted, verified) per check --------
+
+
+def _rank_roundtrip(w, i):
+    back = unrank(i)
+    yield f"unrank({i})={back.text}", i, (i if back == w else None)
+    yield "rank", i, rank(w)
+
+
+def _theorem_2_4(w, i):
+    yield "block-sum", sum(rank(p) for p in decompose(w)), rank(w)
+
+
+def _open_sites(w, i):
+    # right down to position 1, left up to two virtual zeros past the word
+    for b in outer_blocks(w):
+        k = b.open_pos
+        for steps in (range(-1, -k, -1), range(1, len(w) - k + 3)):
+            for j in steps:
+                if w.symbol_at(k + j) is not Symbol.ZERO:
+                    break
+                yield _nav_site(f"open k={k} j={j:+d}", shift_open, w, k, j)
+
+
+def _close_sites(w, i):
+    for b in outer_blocks(w):
+        k = b.close_pos
+        if w.symbol_at(k + 1) is Symbol.ZERO:
+            yield _nav_site(f"close k={k} left", shift_close, w, k, "left")
+        if k >= 2 and w.symbol_at(k - 1) is Symbol.ZERO:
+            yield _nav_site(f"close k={k} right", shift_close, w, k, "right")
+
+
+def _pair_sites(w, i):
+    blocks = outer_blocks(w)
+    for left, right in zip(blocks, blocks[1:]):
+        l, k = left.close_pos, right.open_pos
+        if k >= 2:
+            yield _nav_site(f"remove ({k},{l})", remove_pair, w, k, l)
+    # every pair inside a maximal zero run at depth 1, run spanning high..low
+    for run in re.finditer("0+", w.text):
+        high, low = len(w) - run.start(), len(w) - run.end() + 1
+        if depth_before(w, high) == 1:
+            for l in range(low, high + 1):
+                for k in range(max(low, 2), l):
+                    yield _nav_site(f"insert ({k},{l})", insert_pair, w, k, l)
+
+
+def _block_pair_sites(gap, label, move, w, i):
+    """Apply move at every pair of neighboring outer blocks whose touching
+    brackets sit gap positions apart (1: merge, 2: zero-gap swap)."""
+    blocks = outer_blocks(w)
+    for left, right in zip(blocks, blocks[1:]):
+        if left.close_pos == right.open_pos + gap:
+            yield _nav_site(f"{label} k={right.open_pos}", move, w, right.open_pos)
+
+
+_merge_sites = partial(_block_pair_sites, 1, "merge", merge_adjacent)
+_swap_sites = partial(_block_pair_sites, 2, "swap", swap_across_zero)
 
 
 def _run_order_agreement(scope):
@@ -163,126 +242,20 @@ def _run_order_agreement(scope):
     for n in range(1, scope + 1):
         oracle.extend(enumerate_range(n))
     bad = []
-    checked = 0
     for i, w in enumerate(oracle):
         if rank(w) != i:
-            bad.append(_cx(w.text, "rank-vs-position", i, rank(w)))
-        checked += 1
+            bad.append((w.text, "rank-vs-position", i, rank(w)))
     for a, b in zip(oracle, oracle[1:]):
         if compare(a, b) != -1:
-            bad.append(_cx(a.text, f"compare({b.text})", -1, compare(a, b)))
-        checked += 1
+            bad.append((a.text, f"compare({b.text})", -1, compare(a, b)))
     # belt and braces: full pairwise comparison on the small front ranges
     small = [w for w in oracle if len(w) <= min(scope, 6)]
     for i, a in enumerate(small):
         for j, b in enumerate(small):
             want = (i > j) - (i < j)
             if compare(a, b) != want:
-                bad.append(_cx(a.text, f"compare({b.text})", want, compare(a, b)))
-            checked += 1
-    return checked, bad
-
-
-def _run_theorem_2_4(n):
-    bad = []
-    count = 0
-    for w in enumerate_range(n):
-        parts = decompose(w)
-        total = sum(rank(p) for p in parts)
-        if total != rank(w):
-            bad.append(_cx(w.text, "block-sum", total, rank(w)))
-        count += 1
-    return count, bad
-
-
-def _poly_probe(fn, w, site_label, bad):
-    """Run a proof-backed delta operation, logging any mismatch."""
-    try:
-        fn()
-    except PolynomialMismatchError as exc:
-        rep = exc.report
-        bad.append(_cx(w.text, site_label,
-                       rep.predicted_delta if rep else None,
-                       rep.verified_delta if rep else None))
-
-
-def _run_corollary_3_1(n):
-    bad = []
-    count = 0
-    for w in enumerate_range(n):
-        for b in outer_blocks(w):
-            k = b.open_pos
-            j = 1
-            while k - j >= 1 and w.symbol_at(k - j) is Symbol.ZERO:
-                _poly_probe(lambda: shift_open(w, k, -j), w, f"open k={k} j={-j}", bad)
-                count += 1
-                j += 1
-            j = 1
-            while j <= (len(w) - k) + 2 and w.symbol_at(k + j) is Symbol.ZERO:
-                _poly_probe(lambda: shift_open(w, k, j), w, f"open k={k} j=+{j}", bad)
-                count += 1
-                j += 1
-    return count, bad
-
-
-def _run_corollary_3_3(n):
-    bad = []
-    count = 0
-    for w in enumerate_range(n):
-        for b in outer_blocks(w):
-            k = b.close_pos
-            if w.symbol_at(k + 1) is Symbol.ZERO:
-                _poly_probe(lambda: shift_close(w, k, "left"), w, f"close k={k} left", bad)
-                count += 1
-            if k >= 2 and w.symbol_at(k - 1) is Symbol.ZERO:
-                _poly_probe(lambda: shift_close(w, k, "right"), w, f"close k={k} right", bad)
-                count += 1
-    return count, bad
-
-
-def _interior_zero_runs(w):
-    """Maximal runs of zeros sitting at depth 1, as (high, low) positions."""
-    n = len(w)
-    return [(n - run.start(), n - run.end() + 1)
-            for run in re.finditer("0+", w.text)
-            if depth_before(w, n - run.start()) == 1]
-
-
-def _run_corollary_4_1(n):
-    bad = []
-    count = 0
-    for w in enumerate_range(n):
-        blocks = outer_blocks(w)
-        for left, right in zip(blocks, blocks[1:]):
-            l, k = left.close_pos, right.open_pos
-            if k >= 2:
-                _poly_probe(lambda: remove_pair(w, k, l), w, f"remove ({k},{l})", bad)
-                count += 1
-        for high, low in _interior_zero_runs(w):
-            for l in range(low, high + 1):
-                for k in range(low, l):
-                    if k >= 2:
-                        _poly_probe(lambda: insert_pair(w, k, l), w,
-                                    f"insert ({k},{l})", bad)
-                        count += 1
-    return count, bad
-
-
-def _run_block_pairs(gap, label, move, n):
-    """Apply move at every pair of neighboring outer blocks whose touching
-    brackets sit gap positions apart (1: merge, 2: zero-gap swap)."""
-    bad = []
-    count = 0
-    for w in enumerate_range(n):
-        blocks = outer_blocks(w)
-        for left, right in zip(blocks, blocks[1:]):
-            if left.close_pos == right.open_pos + gap:
-                rep = move(w, right.open_pos)
-                if not rep.agrees:
-                    bad.append(_cx(w.text, f"{label} k={right.open_pos}",
-                                   rep.predicted_delta, rep.verified_delta))
-                count += 1
-    return count, bad
+                bad.append((a.text, f"compare({b.text})", want, compare(a, b)))
+    return 2 * len(oracle) - 1 + len(small) ** 2, bad
 
 
 def _run_table_1(n):
@@ -290,7 +263,7 @@ def _run_table_1(n):
     try:
         control_points(n)
     except PolynomialMismatchError as exc:
-        bad.append(_cx(f"range {n}", str(exc), None, None))
+        bad.append((f"range {n}", str(exc), None, None))
     return 7, bad
 
 
@@ -303,8 +276,17 @@ def _run_table_1(n):
 
 def _expect(bad, label, got, want):
     if got != want:
-        bad.append(_cx(label, f"got {got!r}, want {want!r}", None, None))
+        bad.append((label, f"got {got!r}, want {want!r}", None, None))
     return 1
+
+
+def _replay_move(bad, case, move, *args):
+    """A proven nav move's report.  A polynomial that disagrees is logged
+    under the case, uncounted, and the replay goes on."""
+    rep = _report_of(move, *args)
+    if not rep.agrees:
+        bad.append((case, "polynomial", rep.predicted_delta, rep.verified_delta))
+    return rep
 
 
 def _replay_column_addition(bad):
@@ -358,9 +340,10 @@ def _replay_open_drift(bad):
     ]
     c = 0
     for before, k, j, after, delta in cases:
-        rep = shift_open(before, k, j)
-        c += _expect(bad, f"open drift {before} k={k} j={j} word", rep.after.text, after)
-        c += _expect(bad, f"open drift {before} k={k} j={j} delta", rep.verified_delta, delta)
+        case = f"open drift {before} k={k} j={j}"
+        rep = _replay_move(bad, case, shift_open, before, k, j)
+        c += _expect(bad, f"{case} word", rep.after.text, after)
+        c += _expect(bad, f"{case} delta", rep.verified_delta, delta)
     return c
 
 
@@ -373,18 +356,19 @@ def _replay_close_drift(bad):
     ]
     c = 0
     for before, k, direction, after, delta in cases:
-        rep = shift_close(before, k, direction)
-        c += _expect(bad, f"close drift {before} {direction} word", rep.after.text, after)
-        c += _expect(bad, f"close drift {before} {direction} delta", rep.verified_delta, delta)
+        case = f"close drift {before} {direction}"
+        rep = _replay_move(bad, case, shift_close, before, k, direction)
+        c += _expect(bad, f"{case} word", rep.after.text, after)
+        c += _expect(bad, f"{case} delta", rep.verified_delta, delta)
     return c
 
 
 def _replay_pair_removal(bad):
     c = 0
-    rep = remove_pair("()00(())", 4, 7)
+    rep = _replay_move(bad, "removal", remove_pair, "()00(())", 4, 7)
     c += _expect(bad, "removal word", rep.after.text, "(0000())")
     c += _expect(bad, "removal delta", rep.verified_delta, -149)
-    rep = insert_pair("(0000())", 4, 7)
+    rep = _replay_move(bad, "reinsertion", insert_pair, "(0000())", 4, 7)
     c += _expect(bad, "reinsertion word", rep.after.text, "()00(())")
     c += _expect(bad, "reinsertion delta", rep.verified_delta, 149)
     # the remaining cases carry garbled word strings; regenerated by index
@@ -392,10 +376,11 @@ def _replay_pair_removal(bad):
         (491, 4, 5, 516, 25),
         (1152, 5, 6, 1216, 64),
     ]:
-        rep = insert_pair(unrank(i_before), k, l)
+        rep = _replay_move(bad, f"insert into {i_before}", insert_pair,
+                           unrank(i_before), k, l)
         c += _expect(bad, f"insert into {i_before}", rep.after, unrank(i_after))
         c += _expect(bad, f"insert into {i_before} delta", rep.verified_delta, delta)
-    rep = remove_pair(unrank(2153), 5, 7)
+    rep = _replay_move(bad, "remove from 2153", remove_pair, unrank(2153), 5, 7)
     c += _expect(bad, "remove from 2153", rep.after, unrank(1999))
     c += _expect(bad, "remove from 2153 delta", rep.verified_delta, -154)
     return c
@@ -417,7 +402,7 @@ def _replay_zero_gap_swap(bad):
     # three-step climb from the pair-inside-block landmark to the nested
     # one, range 7: indexes 70 -> 79 -> 113 -> 88, net +18
     s1 = split_block("(0())00", 4)
-    s2 = shift_close(s1.after, 5, "left")
+    s2 = _replay_move(bad, "chain-7 close drift", shift_close, s1.after, 5, "left")
     s3 = swap_across_zero(s2.after, 4)
     c += _expect(bad, "chain-7 words", (s1.after.text, s2.after.text, s3.after.text),
                  ("(0)()00", "()0()00", "((0))00"))
@@ -426,7 +411,7 @@ def _replay_zero_gap_swap(bad):
     c += _expect(bad, "chain-7 endpoints", (rank("(0())00"), rank("((0))00")), (70, 88))
     # same climb inside a host with an extra block, range 9: 464 -> 584
     s1 = split_block("(0())(0)0", 6)
-    s2 = shift_close(s1.after, 7, "left")
+    s2 = _replay_move(bad, "chain-9 close drift", shift_close, s1.after, 7, "left")
     s3 = swap_across_zero(s2.after, 6)
     c += _expect(bad, "chain-9 end", s3.after.text, "((0))(0)0")
     c += _expect(bad, "chain-9 net",
@@ -444,20 +429,11 @@ def _replay_zero_gap_swap(bad):
 
 
 def _run_paper_examples(scope):
-    _ = scope
     bad = []
-    count = 0
-    for replay in (
-        _replay_column_addition,
-        _replay_zero_zone_insertion,
-        _replay_regrouping,
-        _replay_open_drift,
-        _replay_close_drift,
-        _replay_pair_removal,
-        _replay_block_merge,
-        _replay_zero_gap_swap,
-    ):
-        count += replay(bad)
+    count = sum(replay(bad) for replay in (
+        _replay_column_addition, _replay_zero_zone_insertion,
+        _replay_regrouping, _replay_open_drift, _replay_close_drift,
+        _replay_pair_removal, _replay_block_merge, _replay_zero_gap_swap))
     return count, bad
 
 
@@ -466,22 +442,21 @@ def _run_paper_examples(scope):
 # "scope").  The first range is the smallest with a site to check, so no
 # accepted scope passes vacuously.
 _CHECKS = {
-    "rank_roundtrip": ("theorem", _run_rank_roundtrip, 1, "range"),
+    "rank_roundtrip": ("theorem", partial(_run_words, _rank_roundtrip), 1, "range"),
     "order_agreement": ("theorem", _run_order_agreement, 1, "scope"),
-    "theorem_2_4": ("theorem", _run_theorem_2_4, 2, "range"),
-    "corollary_3_1": ("theorem", _run_corollary_3_1, 2, "range"),
-    "corollary_3_3": ("theorem", _run_corollary_3_3, 3, "range"),
-    "corollary_4_1": ("theorem", _run_corollary_4_1, 4, "range"),
-    "conjecture_4_3": ("conjecture",
-                       partial(_run_block_pairs, 1, "merge", merge_adjacent),
-                       4, "range"),
-    "psi_site_independence": ("conjecture",
-                              partial(_run_block_pairs, 2, "swap",
-                                      swap_across_zero),
-                              5, "range"),
+    "theorem_2_4": ("theorem", partial(_run_words, _theorem_2_4), 2, "range"),
+    "corollary_3_1": ("theorem", partial(_run_words, _open_sites), 2, "range"),
+    "corollary_3_3": ("theorem", partial(_run_words, _close_sites), 3, "range"),
+    "corollary_4_1": ("theorem", partial(_run_words, _pair_sites), 4, "range"),
+    "conjecture_4_3": ("conjecture", partial(_run_words, _merge_sites), 4, "range"),
+    "psi_site_independence": ("conjecture", partial(_run_words, _swap_sites), 5,
+                              "range"),
     "table_1": ("theorem", _run_table_1, 5, "range"),
     "paper_examples": ("theorem", _run_paper_examples, 0, "scope"),
 }
+
+
+_LEX_ORDER = {"0": 0, "(": 1, ")": 2}
 
 
 def _sort_key(cx: Counterexample):
@@ -491,8 +466,9 @@ def _sort_key(cx: Counterexample):
 def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
     """Run the named exhaustive check up to max_scope.
 
-    Work is split by range; with workers > 1 the units run in separate
-    processes and the merged counterexamples are sorted so the report is
+    Work is split by range.  The worker count is clamped to the number of
+    units and of CPUs; with more than one left, the units run in separate
+    processes.  The merged counterexamples are sorted so the report is
     deterministic either way.  A scope below the check's first range and
     fewer than one worker are ArgumentErrors.
     """
@@ -509,7 +485,8 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
     if workers < 1:
         raise ArgumentError(f"workers must be at least 1, got {workers}")
     units = list(range(first, max_scope + 1)) if unit == "range" else [max_scope]
-    if workers > 1 and len(units) > 1:
+    workers = min(workers, len(units), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the process pool machinery would otherwise cost
         # every CLI start about a third of its import time
         from concurrent.futures import ProcessPoolExecutor
@@ -563,13 +540,7 @@ def report_lines(report: AuditReport) -> str:
 def regenerate_addendum(max_range: int) -> str:
     """Corrected listing of the row through max_range, nine words per
     line, each line prefixed by the index of its first word."""
-    if max_range < 1:
-        raise ArgumentError(f"ranges are numbered from 1, got {max_range}")
-    if max_range > config.enum_range_limit():
-        raise LimitError(
-            f"range {max_range} exceeds the enumeration limit "
-            f"{config.enum_range_limit()}"
-        )
+    _check_range(max_range)
     words = []
     for n in range(1, max_range + 1):
         words.extend(w.text for w in enumerate_range(n))

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -61,6 +62,17 @@ def test_enumerate_range_matches_brute_force(n):
 def test_enumerate_range_counts():
     for n in range(1, 16):
         assert len(enumerate_range(n)) == unique_count(n)
+
+
+def test_enumerate_range_leaves_no_cyclic_garbage():
+    # a dropped result is freed at once, not when the cyclic collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_range(8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_range_limit():
@@ -235,3 +247,54 @@ def test_failing_audit_reports_are_pinned(wrong_polynomials, check, checked,
         record + head,
     ]
     assert lines[-2:] == [record + t for t in tail]
+
+
+def test_paper_examples_report_a_wrong_proven_polynomial(monkeypatch, capsys):
+    from motzkinrow import cli, nav
+
+    xi = nav.xi
+    monkeypatch.setattr(nav, "xi", lambda k: xi(k) + (k == 5))
+    rep = audit("paper_examples", 0)
+    assert (rep.outcome, rep.counts) == ("fail", 73)
+    # each replay case that crosses xi(5) is named, and the replay goes on
+    assert ("close drift (0)0000 left", "polynomial", 35, 34) in {
+        (cx.word, cx.site, cx.predicted, cx.verified)
+        for cx in rep.counterexamples
+    }
+    assert cli.main(["audit", "paper_examples"]) == 3
+    assert "outcome: fail" in capsys.readouterr().out
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the worker count it was
+    asked for and maps in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, units):
+        return map(fn, units)
+
+
+@pytest.mark.parametrize("scope, cpus, sizes", [
+    (3, 64, [2]),  # two ranges, two workers
+    (2, 64, []),   # one range runs serially
+    (3, 1, []),    # one CPU runs serially
+])
+def test_audit_clamps_workers(monkeypatch, scope, cpus, sizes):
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert audit("corollary_3_1", scope, workers=64) == audit("corollary_3_1", scope)
+    assert _SerialPool.sizes == sizes
