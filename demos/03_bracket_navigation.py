@@ -4,8 +4,9 @@
 Small rewrites of a word - drifting a bracket across zeros, erasing or
 inserting a bracket pair, swapping touching brackets - jump the index by
 polynomials in Motzkin numbers that depend only on the touched positions.
-Every operation returns both the polynomial prediction and the delta
-verified through rank, so the claims check themselves as you play.
+Every operation returns both the polynomial prediction and the verified
+delta, the rank difference summed over the touched positions, so the
+claims check themselves as you play.
 """
 
 from motzkinrow import (
@@ -50,7 +51,7 @@ def main():
 
     print()
     print("Merging two touching blocks drops the index by M[k] (conjectured,")
-    print("so the report always carries the rank-verified delta):")
+    print("so the report always carries the verified delta too):")
     merged = merge_adjacent("(0)()00", 4)
     show("merge", merged)
     show("split", split_block(merged.after, 4))

@@ -4,17 +4,23 @@ Everything here is plain Python integer arithmetic, so values stay exact at
 any size.  Both tables grow on demand and are kept for the life of the
 process.  Growth happens under one lock and a bound is published only after
 the entries under it are complete, so readers need no lock and never
-observe a half-built row.
+observe a half-built column.
 
 The Motzkin numbers grow by the three-term recurrence of Donaghey and
-Shapiro (OEIS A001006).  The completion counts are the Motzkin triangle
-(OEIS A026300), kept only where m + d <= L for the longest length L served
-so far: that is every count a word of length L can ask for, and the
-triangle recurrence never reads outside it.
+Shapiro (OEIS A001006).  The completion counts T(m, d) are the Motzkin
+triangle (OEIS A026300), stored column by column: column d lists T(m, d)
+for m = 0, 1, 2, ..., and column 0 is the Motzkin table.  Each column has
+its own published bound, the last m it holds.  A walk over a word reads
+column d only once its depth reaches d - 1, and from then on only at
+fewer remaining symbols than at that moment, so a word of greatest depth
+h grows columns 0 .. h + 1 and each only as far as the walk first needs
+it.  Column d is built from columns d-1 and d-2 by T(m, d) =
+T(m+1, d-1) - T(m, d-1) - T(m, d-2), which needs each lower column one
+entry further than the one above it.
 """
 
 import threading
-from operator import add
+from operator import sub
 
 from .errors import ArgumentError
 
@@ -24,12 +30,14 @@ _lock = threading.RLock()
 # zeros allowed), seeded with the 0- and 1-length values.
 _motzkin = [1, 1]
 
-# _completions[m][d] counts the length-m strings over {0, (, )} that start
-# at bracket depth d, never dip below depth 0, and end at depth 0.  Row m
-# holds d = 0 .. _reach - m; the entries with d > m are zeros, since deeper
-# starts cannot come back down in time.
-_completions = [[1]]
-_reach = 0
+# _columns[d][m] = T(m, d) counts the length-m strings over {0, (, )} that
+# start at bracket depth d, never dip below depth 0, and end at depth 0.
+# Column 0 is the Motzkin table itself.  _tops[d] is the published bound of
+# column d: it holds m = 0 .. _tops[d], the entries with m < d being zeros,
+# since deeper starts cannot come back down in time.  Each column reaches
+# at least one entry further than the next: _tops[d] > _tops[d + 1].
+_columns = [_motzkin]
+_tops = [1]
 
 
 def motzkin_numbers(n):
@@ -74,41 +82,55 @@ def unique_count(n):
     return motzkin(n) - motzkin(n - 1)
 
 
-def completion_rows(length):
-    """The completions table, grown to hold every entry with m + d <= length.
+def _extend(column, d, top):
+    """Append T(m, d) to column d (d >= 1) for m = len(column) .. top, by
+    T(m, d) = T(m+1, d-1) - T(m, d-1) - T(m, d-2).  Column d-1 must
+    already hold m up to top + 1 and column d-2 up to top."""
+    lo = len(column)
+    up = _columns[d - 1]
+    new = map(sub, up[lo + 1:top + 2], up[lo:top + 1])
+    if d > 1:
+        new = map(sub, new, _columns[d - 2][lo:top + 1])
+    column.extend(new)
 
-    ``completion_rows(n)[m][d] == completions(m, d)`` whenever m + d <= n,
-    which covers every count that ranking or unranking a word of length n
-    reads.  Callers only read the returned rows.
 
-    A longer request extends the existing rows in place and appends new
-    ones by the triangle recurrence T(m, d) = T(m-1, d-1) + T(m-1, d) +
-    T(m-1, d+1), which reads row m-1 only up to d + 1 <= length - (m-1),
-    inside the cut.  Growth runs under the module lock, and the new bound
-    is published only once every row under it is complete.
+def completion_columns(d, m):
+    """The completions table grown so that column d holds m.
+
+    Returns the columns: ``columns[c][k] == completions(k, c)`` for every
+    c <= d and k <= m + d - c, since building column d through m needs
+    each lower column one entry further than the one above it.  Callers
+    read only inside the bounds they asked for, never by ``len()``, and
+    never write.
+
+    Column c is extended only when it is short of m + d - c, the columns
+    it is built from first, and the missing columns are added one at a
+    time, each only as far as this request needs: a column follows the
+    depths the walks have reached, not the longest word.  Growth runs
+    under the module lock, and each column's bound is published only once
+    the column holds every entry under it.
     """
-    global _reach
-    if length > _reach:
-        with _lock:
-            old = _reach
-            if length > old:
-                rows = _completions
-                rows[0].extend([0] * (length - old))
-                for m in range(1, length + 1):
-                    prev = rows[m - 1]
-                    hi = length - m
-                    if m <= old:
-                        lo = old - m + 1
-                        rows[m].extend(map(add, map(add, prev[lo - 1:hi],
-                                                    prev[lo:hi + 1]),
-                                           prev[lo + 1:hi + 2]))
-                    else:
-                        row = [prev[0] + prev[1]]
-                        row.extend(map(add, map(add, prev[:hi], prev[1:hi + 1]),
-                                       prev[2:hi + 2]))
-                        rows.append(row)
-                _reach = length
-    return _completions
+    if d < len(_tops) and _tops[d] >= m:
+        return _columns
+    with _lock:
+        motzkin_numbers(m + d)
+        _tops[0] = max(_tops[0], m + d)
+        # the highest column that already reaches far enough; every column
+        # under it does too, since each reaches one further than the next
+        low = min(d, len(_tops) - 1)
+        while low > 0 and _tops[low] < m + d - low:
+            low -= 1
+        for c in range(low + 1, d + 1):
+            top = m + d - c
+            if c < len(_columns):
+                _extend(_columns[c], c, top)
+                _tops[c] = top
+            else:
+                column = []
+                _extend(column, c, top)
+                _columns.append(column)
+                _tops.append(top)
+    return _columns
 
 
 def completions(m, d):
@@ -118,12 +140,11 @@ def completions(m, d):
     and lands exactly on zero at the end.  ``completions(n, 0)`` equals
     ``motzkin(n)``, and a start deeper than m leaves no completion.
 
-    The count is read from ``completion_rows(m + d)``: the table holds the
-    entries with m + d <= L for the longest length L asked for so far, and
-    grows past that cut under the module lock.
+    The count is read from ``completion_columns(d, m)``: column d of the
+    table, grown past its bound under the module lock when needed.
     """
     if m < 0 or d < 0:
         raise ArgumentError(f"completions needs m, d >= 0, got ({m}, {d})")
     if d > m:
         return 0
-    return completion_rows(m + d)[m][d]
+    return completion_columns(d, m)[d][m]

@@ -18,8 +18,9 @@ only on the positions touched, never on the rest of the word:
                      into one; delta -psi(k).
 
 Every operation returns a DeltaReport carrying both the polynomial value
-and the rank-verified delta.  For the first three families the equality of
-the two is proven, so a mismatch raises PolynomialMismatchError.  The
+and the verified delta: the rank difference, summed over the touched
+positions (see ``_report``).  For the first three families the equality
+of the two is proven, so a mismatch raises PolynomialMismatchError.  The
 merge/split family is only conjectured and the zero-gap swap's site
 independence is only audited, so there a mismatch is data for the caller,
 not an error.
@@ -29,7 +30,7 @@ All positions are 1-based from the right end of the word.
 
 from dataclasses import dataclass
 
-from .bigcomb import motzkin
+from .bigcomb import motzkin, motzkin_numbers
 from .errors import (
     ArgumentError,
     BlockedError,
@@ -47,8 +48,8 @@ class DeltaReport:
     """Outcome of one navigation step.
 
     ``predicted_delta`` is the index polynomial value, ``verified_delta``
-    the actual rank difference; ``site`` lists the touched positions,
-    leftmost first.
+    the rank difference, summed over the touched positions; ``site`` lists
+    those positions, leftmost first.
     """
 
     before: MotzkinWord
@@ -125,11 +126,56 @@ def _rewrite(w: MotzkinWord, assignments: dict[int, str]) -> MotzkinWord:
         raise ValidityError(f"rewrite of {w.text!r} is not a valid word: {exc}")
 
 
+def _term(ms, m: int, d: int) -> int:
+    """T(m, d) for the depths d <= 3 a nav site reaches, from the Motzkin
+    table ms: T(m,1) = M[m+1] - M[m], T(m,2) = M[m+2] - 2M[m+1] and
+    T(m,3) = M[m+3] - 3M[m+2] + M[m+1] + M[m]."""
+    if d == 0:
+        return ms[m]
+    if d == 1:
+        return ms[m + 1] - ms[m]
+    if d == 2:
+        return ms[m + 2] - 2 * ms[m + 1]
+    return ms[m + 3] - 3 * ms[m + 2] + ms[m + 1] + ms[m]
+
+
+def _site_terms(text: str, site, depth: int, ms) -> int:
+    """Sum of the rank terms of word text at the site positions, leftmost
+    first, with ``depth`` the bracket depth left of the first one.  A "("
+    at position p with depth d before it adds T(p-1, d), a ")" adds
+    T(p-1, d) + T(p-1, d+1) and a "0" adds nothing; the site's gaps hold
+    zeros only."""
+    n = len(text)
+    total = 0
+    for p in site:
+        ch = text[-p] if p <= n else "0"
+        if ch == "(":
+            total += _term(ms, p - 1, depth)
+            depth += 1
+        elif ch == ")":
+            total += _term(ms, p - 1, depth) + _term(ms, p - 1, depth + 1)
+            depth -= 1
+    return total
+
+
 def _report(before, after, predicted, site, proven=True) -> DeltaReport:
-    """Pair the predicted delta with the rank difference.  A proven
-    prediction that disagrees raises; an unproven one is reportable data."""
-    report = DeltaReport(before, after, predicted, rank(after) - rank(before),
-                         tuple(site))
+    """Pair the predicted delta with the rank difference, summed over the
+    touched positions.  A proven prediction that disagrees raises; an
+    unproven one is reportable data.
+
+    Every rank term depends only on its position, its symbol and the depth
+    left of it (see ``_site_terms``), and every move leaves the symbols and
+    depths outside its site alone, zeros in its gaps aside.  The leading "("
+    adds T(n-1, 0) = M[n-1], the range base, so a change of length needs no
+    special case.  So rank(after) - rank(before) is the difference of the
+    two site sums, read from the Motzkin numbers alone: every site reads
+    depth 3 at most.
+    """
+    ms = motzkin_numbers(site[0] + 2)
+    depth = depth_before(before, site[0])
+    verified = (_site_terms(after.text, site, depth, ms)
+                - _site_terms(before.text, site, depth, ms))
+    report = DeltaReport(before, after, predicted, verified, tuple(site))
     if proven and not report.agrees:
         raise PolynomialMismatchError(
             f"proven delta {report.predicted_delta} disagrees with rank "
@@ -272,8 +318,9 @@ def swap_across_zero(w, k: int) -> DeltaReport:
 
     The predicted drop is the closed form psi(k) = M[k-1] + T(k-1,1) +
     T(k,1) + T(k,3) = M[k+3] - 3*M[k+2] + 2*M[k+1] + M[k].  That it holds
-    on every host is audited, not proven, so a disagreement with the
-    rank-verified delta is reported, not raised.
+    on every host is audited, not proven, so a disagreement with the rank
+    difference, summed over the touched positions, is reported, not
+    raised.
     """
     w = as_word(w)
     _check_outer_bracket(w, k + 2, "close")

@@ -9,21 +9,23 @@ Ranking walks the word left to right and, at every position, adds the
 number of admissible completions for each strictly smaller symbol choice.
 Unranking runs the same walk in reverse, always taking the smallest symbol
 whose completion count still covers the remaining offset.  Both walks
-grow the completions table once, to the word's length, and then read its
-rows directly.  The neighbor functions do NOT use those counts at all:
-they rewrite one symbol and refill the tail directly, which keeps them an
-independent cross-check on rank/unrank.  A tail of m symbols that starts
-at depth d is smallest as ``"0"*(m-d) + ")"*d`` (zeros, then the closing
-brackets) and largest as ``")"*d + "()"*((m-d)//2) + "0"*((m-d)%2)``
+read the columns of the completions table directly.  Only when a walk
+reaches a new greatest depth h with m symbols left does it ask for column
+h + 1 through m - 1, so a word of greatest depth h grows columns
+0 .. h + 1 and no deeper.  The neighbor functions do NOT use those counts
+at all: they rewrite one symbol and refill the tail directly, which keeps
+them an independent cross-check on rank/unrank.  A tail of m symbols that
+starts at depth d is smallest as ``"0"*(m-d) + ")"*d`` (zeros, then the
+closing brackets) and largest as ``")"*d + "()"*((m-d)//2) + "0"*((m-d)%2)``
 (the closing brackets first, then adjacent pairs and at most one zero).
 """
 
 from bisect import bisect_right
 
 from . import config
-from .bigcomb import completion_rows, motzkin, motzkin_numbers
+from .bigcomb import completion_columns, motzkin, motzkin_numbers
 from .errors import ArgumentError, LimitError, UnderflowError
-from .word import MotzkinWord, as_word
+from .word import MotzkinWord, as_word, check_length
 
 
 def compare(x, y) -> int:
@@ -43,20 +45,25 @@ def rank(w) -> int:
     if w.is_zero:
         return 0
     n = len(w)
-    total = motzkin(n - 1)
-    rows = completion_rows(n)
+    columns = completion_columns(2, n - 2)
+    total = 0
     depth = 0
-    for i, ch in enumerate(w.text):
+    deepest = 1
+    m = n
+    for ch in w.text:
+        m -= 1
         if ch == "(":
-            # '0' is the only smaller symbol; it is barred from the first
-            # position, where no canonical word may start with a zero.
-            if i > 0:
-                total += rows[n - i - 1][depth]
+            # '0' is the only smaller symbol.  At the leading position this
+            # adds T(n-1, 0) = M[n-1], the words of the shorter ranges.
+            total += columns[depth][m]
             depth += 1
+            if depth > deepest:
+                # a ')' at this depth will read column depth + 1
+                deepest = depth
+                completion_columns(depth + 1, m - 1)
         elif ch == ")":
             # a '0' would keep the depth, a '(' would raise it
-            row = rows[n - i - 1]
-            total += row[depth] + row[depth + 1]
+            total += columns[depth][m] + columns[depth + 1][m]
             depth -= 1
     return total
 
@@ -77,20 +84,22 @@ def unrank(i: int) -> MotzkinWord:
             f"index {i} needs a word longer than the configured maximum"
         )
     local = i - ms[n - 1]
-    rows = completion_rows(n)
+    columns = completion_columns(2, n - 2)
     chars = ["("]
-    depth = 1
-    for pos in range(1, n):
-        row = rows[n - pos - 1]
-        c = row[depth]
+    depth = deepest = 1
+    for m in range(n - 2, -1, -1):
+        c = columns[depth][m]
         if local < c:
             chars.append("0")
             continue
         local -= c
-        c = row[depth + 1]
+        c = columns[depth + 1][m]
         if local < c:
             chars.append("(")
             depth += 1
+            if depth > deepest:
+                deepest = depth
+                completion_columns(depth + 1, m - 1)
             continue
         local -= c
         chars.append(")")
@@ -120,9 +129,10 @@ def successor(w) -> MotzkinWord:
         else:
             continue
         return MotzkinWord._trusted(text[:i] + ch + "0" * (m - d) + ")" * d)
-    # w is the maximum of its range; validated, since the next range may
-    # pass the length limit.
-    return MotzkinWord("(" + "0" * (n - 1) + ")")
+    # w is the maximum of its range; the next range may pass the length
+    # limit
+    check_length(n + 1)
+    return MotzkinWord._trusted("(" + "0" * (n - 1) + ")")
 
 
 def predecessor(w) -> MotzkinWord:
@@ -156,9 +166,10 @@ def range_min(n: int) -> tuple[MotzkinWord, int]:
     """Smallest word of length n together with its index."""
     if n < 1:
         raise ArgumentError(f"ranges are numbered from 1, got {n}")
+    check_length(n)
     if n == 1:
-        return MotzkinWord("0"), 0
-    return MotzkinWord("(" + "0" * (n - 2) + ")"), motzkin(n - 1)
+        return MotzkinWord._trusted("0"), 0
+    return MotzkinWord._trusted("(" + "0" * (n - 2) + ")"), motzkin(n - 1)
 
 
 def range_max(n: int) -> tuple[MotzkinWord, int]:
@@ -169,6 +180,8 @@ def range_max(n: int) -> tuple[MotzkinWord, int]:
     """
     if n < 1:
         raise ArgumentError(f"ranges are numbered from 1, got {n}")
+    check_length(n)
     if n == 1:
-        return MotzkinWord("0"), 0
-    return MotzkinWord("()" * (n // 2) + "0" * (n % 2)), motzkin(n) - 1
+        return MotzkinWord._trusted("0"), 0
+    return (MotzkinWord._trusted("()" * (n // 2) + "0" * (n % 2)),
+            motzkin(n) - 1)

@@ -171,9 +171,11 @@ def _report_of(move, *args):
         return exc.report
 
 
-def _nav_site(site, move, *args):
+def _nav_site(i, site, move, *args):
+    """One nav move on the word of oracle index i, checked against rank:
+    the verified delta is rank(after) - i, not the move's own site sum."""
     rep = _report_of(move, *args)
-    return site, rep.predicted_delta, rep.verified_delta
+    return site, rep.predicted_delta, rank(rep.after) - i
 
 
 # --- probes: one generator of (site, predicted, verified) per check --------
@@ -197,16 +199,18 @@ def _open_sites(w, i):
             for j in steps:
                 if w.symbol_at(k + j) is not Symbol.ZERO:
                     break
-                yield _nav_site(f"open k={k} j={j:+d}", shift_open, w, k, j)
+                yield _nav_site(i, f"open k={k} j={j:+d}", shift_open, w, k, j)
 
 
 def _close_sites(w, i):
     for b in outer_blocks(w):
         k = b.close_pos
         if w.symbol_at(k + 1) is Symbol.ZERO:
-            yield _nav_site(f"close k={k} left", shift_close, w, k, "left")
+            yield _nav_site(i, f"close k={k} left", shift_close, w, k,
+                            "left")
         if k >= 2 and w.symbol_at(k - 1) is Symbol.ZERO:
-            yield _nav_site(f"close k={k} right", shift_close, w, k, "right")
+            yield _nav_site(i, f"close k={k} right", shift_close, w, k,
+                            "right")
 
 
 def _pair_sites(w, i):
@@ -214,14 +218,15 @@ def _pair_sites(w, i):
     for left, right in zip(blocks, blocks[1:]):
         l, k = left.close_pos, right.open_pos
         if k >= 2:
-            yield _nav_site(f"remove ({k},{l})", remove_pair, w, k, l)
+            yield _nav_site(i, f"remove ({k},{l})", remove_pair, w, k, l)
     # every pair inside a maximal zero run at depth 1, run spanning high..low
     for run in re.finditer("0+", w.text):
         high, low = len(w) - run.start(), len(w) - run.end() + 1
         if depth_before(w, high) == 1:
             for l in range(low, high + 1):
                 for k in range(max(low, 2), l):
-                    yield _nav_site(f"insert ({k},{l})", insert_pair, w, k, l)
+                    yield _nav_site(i, f"insert ({k},{l})", insert_pair, w,
+                                    k, l)
 
 
 def _block_pair_sites(gap, label, move, w, i):
@@ -230,7 +235,8 @@ def _block_pair_sites(gap, label, move, w, i):
     blocks = outer_blocks(w)
     for left, right in zip(blocks, blocks[1:]):
         if left.close_pos == right.open_pos + gap:
-            yield _nav_site(f"{label} k={right.open_pos}", move, w, right.open_pos)
+            k = right.open_pos
+            yield _nav_site(i, f"{label} k={k}", move, w, k)
 
 
 _merge_sites = partial(_block_pair_sites, 1, "merge", merge_adjacent)

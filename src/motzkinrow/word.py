@@ -11,8 +11,10 @@ for comparison and overlay.
 
 ``MotzkinWord(text)``, ``parse`` and ``as_word`` on a string validate their
 input.  Words the library assembles from already-valid pieces (unrank, the
-row neighbours, block sums and differences, extended blocks, the
-enumerator) skip that check through the private ``MotzkinWord._trusted``.
+row neighbours, the range ends, block sums and differences, extended
+blocks, the enumerator) skip that check through the private
+``MotzkinWord._trusted``; where such a word may be longer than its input,
+the builder calls ``check_length`` first.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ def fresh_tables():
     start; later callers regrow them on demand."""
     with bigcomb._lock:
         bigcomb._motzkin[:] = [1, 1]
-        bigcomb._completions[:] = [[1]]
-        bigcomb._reach = 0
+        bigcomb._columns[:] = [bigcomb._motzkin]
+        bigcomb._tops[:] = [1]
 
 
 def test_motzkin_matches_rational_recurrence():
@@ -140,33 +140,71 @@ def test_motzkin_matches_convolution():
     assert [motzkin(n) for n in range(501)] == ref
 
 
+def _published_frontier(tri, size):
+    """Read the last published entry of every column by the published
+    bounds alone, as a reader would, and check it against tri where tri
+    reaches; return the number of published columns."""
+    tops = bigcomb._tops
+    depth = len(tops)
+    for d in range(depth):
+        m = tops[d]
+        value = bigcomb._columns[d][m]
+        if m <= size and d <= size + 1:
+            assert value == tri[m][d], (m, d)
+        if d + 1 < depth:
+            assert tops[d + 1] < m, d
+    return depth
+
+
 def test_completions_match_full_triangle(fresh_tables, triangle):
-    # every entry with m, d <= 300, the d > m zeros included, requested in
-    # a scrambled order from an empty table, so the cut L grows in uneven
-    # steps; after each step both sides of the new cut m + d = L are read
+    # the table grows from empty by (depth, m) requests in a scrambled
+    # order under rising caps, so columns appear and lengthen in uneven
+    # steps; after each step the newest entry of every column is read,
+    # then every entry with m, d <= 300 (the d > m zeros included)
     size = 300
     tri = triangle(size)
+    rng = random.Random(1977)
+    requests = []
+    for cap in (30, 90, 180, size):
+        batch = [(d, m) for d in range(0, cap + 1, cap // 10)
+                 for m in range(0, cap + 1, cap // 6)]
+        rng.shuffle(batch)
+        requests += batch
+    shapes = set()
+    for d, m in requests:
+        columns = bigcomb.completion_columns(d, m)
+        for c in range(d + 1):
+            k = m + d - c
+            if k <= size:
+                assert columns[c][k] == tri[k][c], (k, c)
+        shapes.add(tuple(bigcomb._tops))
+        assert _published_frontier(tri, size) > d
+    assert len(shapes) > 10
     pairs = [(m, d) for m in range(size + 1) for d in range(size + 1)]
-    random.Random(1977).shuffle(pairs)
-    steps = 0
+    random.Random(1978).shuffle(pairs)
     for m, d in pairs:
-        reach = bigcomb._reach
         assert completions(m, d) == tri[m][d], (m, d)
-        if bigcomb._reach == reach:
-            continue
-        steps += 1
-        for s in (bigcomb._reach, bigcomb._reach + 1):
-            for k in range(max(0, s - size), min(s, size) + 1):
-                assert completions(k, s - k) == tri[k][s - k], (k, s - k)
-    assert steps > 3
 
 
-def test_tables_survive_concurrent_growth(fresh_tables, triangle):
-    # many threads grow both tables at once, to different lengths, with
-    # frequent thread switches; every value must still be exact
+def test_tables_survive_concurrent_growth(fresh_tables, triangle,
+                                         monkeypatch):
+    # many threads grow both tables, and the columns of the completions
+    # table in depth and in length, at once, with frequent thread switches;
+    # every value must still be exact.  A reader can arrive at any moment
+    # of a growth step, so before and after each column is extended, the
+    # newest entry of every published column is read by the published
+    # bounds alone: a bound published before its column is complete fails
     tri = triangle(200)
-    requests = [(m, d) for m in range(60, 201, 7) for d in (0, 1, 5, 30)
-                if d <= m]
+    extend = bigcomb._extend
+    depths = []
+
+    def extend_between_reads(column, d, top):
+        depths.append(_published_frontier(tri, 200))
+        extend(column, d, top)
+        depths.append(_published_frontier(tri, 200))
+
+    monkeypatch.setattr(bigcomb, "_extend", extend_between_reads)
+    requests = [(m, d) for m in range(1, 201, 3) for d in range(0, m + 1, 9)]
     random.Random(7).shuffle(requests)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -181,3 +219,4 @@ def test_tables_survive_concurrent_growth(fresh_tables, triangle):
     for (m, d), value in zip(requests, values):
         assert value == tri[m][d], (m, d)
     assert completions(120, 0) == motzkin(120)
+    assert max(depths) > 100

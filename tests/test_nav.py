@@ -1,5 +1,7 @@
+import random
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
@@ -8,10 +10,12 @@ from motzkinrow import (
     BlockedError,
     LimitError,
     SiteError,
+    Symbol,
     control_points,
     insert_pair,
     merge_adjacent,
     motzkin,
+    parse,
     psi,
     rank,
     remove_pair,
@@ -95,18 +99,19 @@ def test_psi_triangle_identity():
 
 def test_psi_reads_no_completion_counts():
     # psi is a polynomial in Motzkin numbers, so even a large k leaves the
-    # completions table of a fresh process empty
+    # completions table of a fresh process as it started: the Motzkin
+    # table as its only column, with its first bound
     proc = subprocess.run(
         [sys.executable, "-c",
          "import motzkinrow.bigcomb as b, motzkinrow.nav as nav; "
-         "nav.psi(2000); print(b._reach)"],
+         "nav.psi(2000); print(len(b._columns), b._tops)"],
         capture_output=True, text=True,
     )
-    assert (proc.returncode, proc.stdout) == (0, "0\n")
+    assert (proc.returncode, proc.stdout) == (0, "1 [1]\n")
 
 
 def test_psi_is_site_independent_at_large_k():
-    # the rank-verified drop must not depend on the host word
+    # the drop must not depend on the host word, by the report and by rank
     k = 12
     hosts = [
         "()0(" + "0" * (k - 2) + ")",
@@ -118,6 +123,7 @@ def test_psi_is_site_independent_at_large_k():
     for h in hosts:
         rep = swap_across_zero(h, k)
         drops.add(-rep.verified_delta)
+        drops.add(rank(h) - rank(rep.after))
     assert drops == {psi(12)}
 
 
@@ -430,3 +436,142 @@ def test_nav_errors_just_outside_the_word(call, k, error, message):
         EDGE_CALLS[call](k)
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+# --- verified deltas: site sums against full ranks --------------------------
+
+FAMILIES = {"shift_open", "shift_close", "remove_pair", "insert_pair",
+            "merge_adjacent", "split_block", "swap_across_zero"}
+SITE_PROBES = ("_open_sites", "_close_sites", "_pair_sites", "_merge_sites",
+               "_swap_sites")
+
+
+def _split_sites(w):
+    # every adjacent "()" directly inside an outer block; the audits have
+    # no split probe, since each split site is a merge site read backwards
+    text, n = w.text, len(w)
+    depth = 0
+    for i, ch in enumerate(text):
+        if ch == "(" and depth == 1 and text[i + 1] == ")":
+            yield n - i - 1
+        depth += (ch == "(") - (ch == ")")
+
+
+def _move_reports(monkeypatch, words, per_family=None):
+    """(family, rank of the word, report) for every site the audit probes
+    and _split_sites find in each word, at most per_family of each family
+    per word."""
+    from motzkinrow import verify
+
+    found = []
+    count = {}
+
+    def keep(i, site, move, *args):
+        name = move.__name__
+        if count.get(name, 0) != per_family:
+            count[name] = count.get(name, 0) + 1
+            found.append((name, i, verify._report_of(move, *args)))
+        return site, 0, 0
+
+    monkeypatch.setattr(verify, "_nav_site", keep)
+    for w in words:
+        i = rank(w)
+        count.clear()
+        for name in SITE_PROBES:
+            list(getattr(verify, name)(w, i))
+        for k in islice(_split_sites(w), per_family):
+            found.append(("split_block", i, split_block(w, k)))
+    return found
+
+
+def test_site_sums_equal_rank_differences_on_every_probe(monkeypatch,
+                                                        row_through):
+    reports = _move_reports(monkeypatch, row_through(10))
+    assert {name for name, _, _ in reports} == FAMILIES
+    assert len(reports) > 15000
+    for name, i, rep in reports:
+        assert rep.verified_delta == rank(rep.after) - i, (
+            name, rep.before.text, rep.site)
+
+
+def _random_blocks(rng, n):
+    """A word of length n made of random outer blocks, each followed by
+    up to two zeros, so every nav family finds sites in it."""
+    parts = []
+    left = n
+    while left >= 2:
+        size = min(left, rng.randint(2, 60))
+        if left - size == 1:
+            size += 1
+        chars, depth = ["("], 1
+        for rest in range(size - 3, -1, -1):
+            ch, depth = rng.choice([(c, d) for c, d in (
+                ("0", depth), ("(", depth + 1), (")", depth - 1))
+                if 1 <= d <= rest + 1])
+            chars.append(ch)
+        gap = min(rng.randint(0, 2), left - size)
+        parts.append("".join(chars) + ")" + "0" * gap)
+        left -= size + gap
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 2048])
+def test_site_sums_equal_rank_differences_on_long_words(monkeypatch, n):
+    rng = random.Random(n)
+    words = [parse(_random_blocks(rng, n)) for _ in range(3)]
+    assert {len(w) for w in words} == {n}
+    reports = _move_reports(monkeypatch, words, per_family=25)
+    assert {name for name, _, _ in reports} == FAMILIES
+    for name, i, rep in reports:
+        assert rep.verified_delta == rank(rep.after) - i, (name, rep.site)
+
+
+def _depths(w, width):
+    # depth left of each position 1 .. width, virtual zeros included
+    text = w.text.rjust(width, "0")
+    out, depth = [0] * (width + 1), 0
+    for i, ch in enumerate(text):
+        out[width - i] = depth
+        depth += (ch == "(") - (ch == ")")
+    return out
+
+
+def test_moves_change_nothing_outside_their_site(monkeypatch, row_through):
+    # the premise of the site sums, per family: outside the span of the
+    # site the symbols and the depths left of them are those of the word
+    # before, and inside it every position off the site is a zero in both
+    for name, _, rep in _move_reports(monkeypatch, row_through(10)):
+        before, after, site = rep.before, rep.after, rep.site
+        width = max(len(before), len(after)) + 1
+        depth_a, depth_b = _depths(before, width), _depths(after, width)
+        for p in range(1, width + 1):
+            a, b = before.symbol_at(p), after.symbol_at(p)
+            if site[-1] <= p <= site[0]:
+                if p not in site:
+                    assert a is b is Symbol.ZERO, (name, before.text, p)
+            else:
+                assert (a, depth_a[p]) == (b, depth_b[p]), (
+                    name, before.text, site, p)
+
+
+# a 2048-symbol word with a site for every family near its left end
+NAV_HOST = "(00()0)0()()00(" + "()0" * 677 + "0)"
+NAV_MOVES = [("shift_open", 2048, -1), ("shift_close", 2042, "left"),
+             ("shift_close", 2042, "right"), ("remove_pair", 2040, 2042),
+             ("insert_pair", 2046, 2047), ("merge_adjacent", 2038),
+             ("split_block", 2044), ("swap_across_zero", 2040)]
+
+
+def test_nav_moves_grow_no_completion_column():
+    # the site sums read the Motzkin numbers alone, so the moves leave the
+    # completions table of a fresh process as it started
+    assert len(NAV_HOST) == 2048
+    script = (
+        "import motzkinrow as mz, motzkinrow.bigcomb as b\n"
+        f"for name, *args in {NAV_MOVES!r}:\n"
+        f"    getattr(mz, name)({NAV_HOST!r}, *args)\n"
+        "print(len(b._columns), b._tops)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 [1]\n", "")

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -131,6 +133,22 @@ def test_unrank_keeps_to_the_word_length_limit(monkeypatch):
         unrank(motzkin(8))
 
 
+def test_range_ends_and_rollover_keep_to_the_word_length_limit(monkeypatch):
+    # built without validation after one length check, which keeps the
+    # message of the validating constructor
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "8")
+    assert range_min(8) == (MotzkinWord("(000000)"), motzkin(7))
+    assert range_max(8) == (MotzkinWord("()()()()"), motzkin(8) - 1)
+    assert successor("()()()0") == MotzkinWord("(000000)")
+    assert predecessor("(000000)") == MotzkinWord("()()()0")
+    for call in (lambda: range_min(9), lambda: range_max(9),
+                 lambda: successor("()()()()")):
+        with pytest.raises(LimitError) as caught:
+            call()
+        assert str(caught.value) == (
+            "word length 9 exceeds the configured maximum 8")
+
+
 def test_padded_inputs_are_coerced():
     assert successor("00()").text == "(0)"
     assert predecessor(parse("000(0)")).text == "()"
@@ -193,3 +211,28 @@ def test_long_words_rank_unrank_and_neighbors(n):
         assert rank(nxt) == i + 1
         assert predecessor(nxt) == w
         assert unrank(i) == w
+
+
+def test_shallow_long_word_grows_only_the_columns_it_reads():
+    # a word of greatest depth h reads completion columns 0 .. h + 1 only,
+    # in a fresh process, at the length limit
+    rng = random.Random(4096)
+    chars, depth, deepest = ["("], 1, 1
+    for left in range(4094, -1, -1):
+        ch, depth = rng.choice([(ch, d) for ch, d in
+                                (("0", depth), ("(", depth + 1),
+                                 (")", depth - 1))
+                                if 0 <= d <= min(left, 12)])
+        chars.append(ch)
+        deepest = max(deepest, depth)
+    text = "".join(chars)
+    assert len(text) == 4096 and deepest == 12
+    script = (
+        "import sys, motzkinrow as mz, motzkinrow.bigcomb as b\n"
+        "w = mz.parse(sys.stdin.read())\n"
+        "print(mz.unrank(mz.rank(w)) == w, len(b._columns))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], input=text,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"True {deepest + 2}\n", "")

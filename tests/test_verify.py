@@ -249,6 +249,22 @@ def test_failing_audit_reports_are_pinned(wrong_polynomials, check, checked,
     assert lines[-2:] == [record + t for t in tail]
 
 
+def test_nav_audits_check_against_rank_not_the_site_sum(monkeypatch):
+    # with every nav site sum broken, the moves' own verified deltas are
+    # wrong, yet the audits still pass: each probe compares the polynomial
+    # with rank(after) minus the word's oracle index
+    from motzkinrow import PolynomialMismatchError, nav
+
+    monkeypatch.setattr(nav, "_term", lambda ms, m, d: 0)
+    with pytest.raises(PolynomialMismatchError):
+        nav.shift_open("(00)", 4, 1)
+    for check in ("corollary_3_1", "corollary_3_3", "corollary_4_1",
+                  "conjecture_4_3", "psi_site_independence"):
+        rep = audit(check, 8)
+        assert (rep.outcome, rep.counterexamples) in {
+            ("pass", ()), ("conjecture-holds", ())}, check
+
+
 def test_paper_examples_report_a_wrong_proven_polynomial(monkeypatch, capsys):
     from motzkinrow import cli, nav
 
