@@ -40,7 +40,7 @@ from .errors import (
     WordError,
 )
 from .rowindex import rank
-from .word import MotzkinWord, Symbol, as_word, check_length, depth_before
+from .word import MotzkinWord, _at, _depth_left, _scan, as_word, check_length
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,8 +104,8 @@ def _check_outer_bracket(w: MotzkinWord, k: int, side: str) -> None:
     or closing (side "close") bracket of an outer block: a '(' with depth
     0 before it, or a ')' with depth 1 before it."""
     ch, depth = ("(", 0) if side == "open" else (")", 1)
-    if not (1 <= k <= len(w) and w.text[-k] == ch
-            and depth_before(w, k) == depth):
+    if not (1 <= k <= len(w.text) and w.text[-k] == ch
+            and _depth_left(w.text, k) == depth):
         bracket = "opening" if side == "open" else "closing"
         raise SiteError(
             f"position {k} of {w.text!r} is not the {bracket} bracket of an "
@@ -113,17 +113,26 @@ def _check_outer_bracket(w: MotzkinWord, k: int, side: str) -> None:
         )
 
 
-def _rewrite(w: MotzkinWord, assignments: dict[int, str]) -> MotzkinWord:
-    """Copy w with the given position -> char assignments applied."""
-    width = max(len(w), max(assignments))
-    buf = list(w.text.rjust(width, "0"))
-    for pos, ch in assignments.items():
-        buf[width - pos] = ch
-    text = "".join(buf).lstrip("0") or "0"
+def _rewrite(w: MotzkinWord, p: int, a: str, q: int, b: str) -> MotzkinWord:
+    """Copy w with a spliced in at position p and b at position q != p.
+
+    The bracket scan is the safety net: a bad site the site checks let
+    through raises ValidityError.  It reads the whole word, since a scan of
+    the span alone would trust the depths left of it, which the site checks
+    read.  Only a word that grew reads the length limit."""
+    if p < q:
+        p, a, q, b = q, b, p, a
+    text = w.text.rjust(p, "0")
+    n = len(text)
+    text = (text[: n - p] + a + text[n - p + 1 : n - q] + b
+            + text[n - q + 1 :]).lstrip("0") or "0"
+    if len(text) > len(w.text):
+        check_length(len(text))
     try:
-        return MotzkinWord(text)
+        _scan(text)
     except WordError as exc:
         raise ValidityError(f"rewrite of {w.text!r} is not a valid word: {exc}")
+    return MotzkinWord._trusted(text)
 
 
 def _term(ms, m: int, d: int) -> int:
@@ -172,11 +181,11 @@ def _report(before, after, predicted, site, proven=True) -> DeltaReport:
     depth 3 at most.
     """
     ms = motzkin_numbers(site[0] + 2)
-    depth = depth_before(before, site[0])
+    depth = _depth_left(before.text, site[0])
     verified = (_site_terms(after.text, site, depth, ms)
                 - _site_terms(before.text, site, depth, ms))
     report = DeltaReport(before, after, predicted, verified, tuple(site))
-    if proven and not report.agrees:
+    if proven and predicted != verified:
         raise PolynomialMismatchError(
             f"proven delta {report.predicted_delta} disagrees with rank "
             f"difference {report.verified_delta} on {before.text!r} at "
@@ -197,17 +206,15 @@ def shift_open(w, k: int, j: int) -> DeltaReport:
     _check_outer_bracket(w, k, "open")
     if k + j < 1:
         raise ArgumentError(f"target position {k + j} is below 1")
-    if j > 0:
-        path = range(k + 1, k + j + 1)
-    else:
-        path = range(k + j, k)
-    for p in path:
-        if w.symbol_at(p) is not Symbol.ZERO:
-            raise BlockedError(
-                f"position {p} of {w.text!r} holds "
-                f"{w.symbol_at(p).char!r}, blocking the move"
-            )
-    after = _rewrite(w, {k: "0", k + j: "("}) if j else w
+    lo, hi = (k + 1, k + j) if j > 0 else (k + j, k - 1)
+    path = w.text[-hi : len(w.text) + 1 - lo]  # positions lo .. hi
+    if path.strip("0"):
+        p = lo + len(path) - len(path.rstrip("0"))
+        raise BlockedError(
+            f"position {p} of {w.text!r} holds {w.text[-p]!r}, blocking the "
+            "move"
+        )
+    after = _rewrite(w, k, "0", k + j, "(") if j else w
     predicted = motzkin(k - 1 + j) - motzkin(k - 1)
     return _report(w, after, predicted, (max(k, k + j), min(k, k + j)))
 
@@ -222,20 +229,20 @@ def shift_close(w, k: int, direction: str) -> DeltaReport:
     w = as_word(w)
     _check_outer_bracket(w, k, "close")
     if direction == "left":
-        if w.symbol_at(k + 1) is not Symbol.ZERO:
+        if _at(w.text, k + 1) != "0":
             raise BlockedError(
                 f"position {k + 1} of {w.text!r} is not a zero"
             )
-        after = _rewrite(w, {k + 1: ")", k: "0"})
+        after = _rewrite(w, k + 1, ")", k, "0")
         return _report(w, after, xi(k), (k + 1, k))
     if direction == "right":
         if k < 2:
             raise ArgumentError("a closing bracket cannot move right of position 1")
-        if w.symbol_at(k - 1) is not Symbol.ZERO:
+        if _at(w.text, k - 1) != "0":
             raise BlockedError(
                 f"position {k - 1} of {w.text!r} is not a zero"
             )
-        after = _rewrite(w, {k: "0", k - 1: ")"})
+        after = _rewrite(w, k, "0", k - 1, ")")
         return _report(w, after, -xi(k - 1), (k, k - 1))
     raise ArgumentError(f"direction must be 'left' or 'right', got {direction!r}")
 
@@ -248,13 +255,12 @@ def remove_pair(w, k: int, l: int) -> DeltaReport:
         raise ArgumentError(f"remove_pair needs l > k >= 2, got ({k}, {l})")
     _check_outer_bracket(w, l, "close")
     _check_outer_bracket(w, k, "open")
-    for p in range(k + 1, l):
-        if w.symbol_at(p) is not Symbol.ZERO:
-            raise SiteError(
-                f"the zone between positions {l} and {k} of {w.text!r} "
-                "is not all zeros"
-            )
-    after = _rewrite(w, {l: "0", k: "0"})
+    if w.text[1 - l : -k].strip("0"):
+        raise SiteError(
+            f"the zone between positions {l} and {k} of {w.text!r} "
+            "is not all zeros"
+        )
+    after = _rewrite(w, l, "0", k, "0")
     return _report(w, after, -zeta(k, l), (l, k))
 
 
@@ -264,17 +270,16 @@ def insert_pair(w, k: int, l: int) -> DeltaReport:
     w = as_word(w)
     if not l > k >= 2:
         raise ArgumentError(f"insert_pair needs l > k >= 2, got ({k}, {l})")
-    for p in range(k, l + 1):
-        if w.symbol_at(p) is not Symbol.ZERO:
-            raise SiteError(
-                f"positions {l}..{k} of {w.text!r} are not all zeros"
-            )
-    if depth_before(w, l) != 1:
+    if w.text[-l : 1 - k].strip("0"):
+        raise SiteError(
+            f"positions {l}..{k} of {w.text!r} are not all zeros"
+        )
+    if _depth_left(w.text, l) != 1:
         raise SiteError(
             f"positions {l}..{k} of {w.text!r} do not lie directly inside "
             "an outer block"
         )
-    after = _rewrite(w, {l: ")", k: "("})
+    after = _rewrite(w, l, ")", k, "(")
     return _report(w, after, zeta(k, l), (l, k))
 
 
@@ -288,7 +293,7 @@ def merge_adjacent(w, k: int) -> DeltaReport:
     w = as_word(w)
     _check_outer_bracket(w, k + 1, "close")
     _check_outer_bracket(w, k, "open")
-    after = _rewrite(w, {k + 1: "(", k: ")"})
+    after = _rewrite(w, k + 1, "(", k, ")")
     return _report(w, after, -motzkin(k), (k + 1, k), proven=False)
 
 
@@ -297,18 +302,17 @@ def split_block(w, k: int) -> DeltaReport:
     depth 1 inside an outer block swaps into two touching blocks;
     conjectured delta +M[k]."""
     w = as_word(w)
-    if (w.symbol_at(k + 1) is not Symbol.OPEN
-            or w.symbol_at(k) is not Symbol.CLOSE):
+    if _at(w.text, k + 1) != "(" or _at(w.text, k) != ")":
         raise SiteError(
             f"positions {k + 1}, {k} of {w.text!r} are not an adjacent "
             "bracket pair"
         )
-    if depth_before(w, k + 1) != 1:
+    if _depth_left(w.text, k + 1) != 1:
         raise SiteError(
             f"the pair at positions {k + 1}, {k} of {w.text!r} is not "
             "directly inside an outer block"
         )
-    after = _rewrite(w, {k + 1: ")", k: "("})
+    after = _rewrite(w, k + 1, ")", k, "(")
     return _report(w, after, motzkin(k), (k + 1, k), proven=False)
 
 
@@ -324,10 +328,10 @@ def swap_across_zero(w, k: int) -> DeltaReport:
     """
     w = as_word(w)
     _check_outer_bracket(w, k + 2, "close")
-    if w.symbol_at(k + 1) is not Symbol.ZERO:
+    if _at(w.text, k + 1) != "0":
         raise SiteError(f"position {k + 1} of {w.text!r} is not a zero")
     _check_outer_bracket(w, k, "open")
-    after = _rewrite(w, {k + 2: "(", k: ")"})
+    after = _rewrite(w, k + 2, "(", k, ")")
     return _report(w, after, -psi(k), (k + 2, k + 1, k), proven=False)
 
 

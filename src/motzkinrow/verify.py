@@ -47,10 +47,9 @@ from .nav import (
 from .rowindex import compare, rank, unrank
 from .word import (
     MotzkinWord,
-    Symbol,
+    _depth_left,
     check_length,
     decompose,
-    depth_before,
     outer_blocks,
 )
 
@@ -192,23 +191,25 @@ def _theorem_2_4(w, i):
 
 
 def _open_sites(w, i):
-    # right down to position 1, left up to two virtual zeros past the word
+    # across the zeros right of the bracket (position p is text[-p]), then
+    # those left of it: two virtual zeros past the word when it leads
+    text = w.text
     for b in outer_blocks(w):
         k = b.open_pos
-        for steps in (range(-1, -k, -1), range(1, len(w) - k + 3)):
-            for j in steps:
-                if w.symbol_at(k + j) is not Symbol.ZERO:
-                    break
-                yield _nav_site(i, f"open k={k} j={j:+d}", shift_open, w, k, j)
+        left, right = text[:-k], text[1 - k :].lstrip("0")
+        run = len(left) - len(left.rstrip("0")) if left else 2
+        for j in (*range(-1, len(right) - k, -1), *range(1, run + 1)):
+            yield _nav_site(i, f"open k={k} j={j:+d}", shift_open, w, k, j)
 
 
 def _close_sites(w, i):
+    text = w.text
     for b in outer_blocks(w):
         k = b.close_pos
-        if w.symbol_at(k + 1) is Symbol.ZERO:
+        if text[-k - 1] == "0":
             yield _nav_site(i, f"close k={k} left", shift_close, w, k,
                             "left")
-        if k >= 2 and w.symbol_at(k - 1) is Symbol.ZERO:
+        if k >= 2 and text[1 - k] == "0":
             yield _nav_site(i, f"close k={k} right", shift_close, w, k,
                             "right")
 
@@ -222,7 +223,7 @@ def _pair_sites(w, i):
     # every pair inside a maximal zero run at depth 1, run spanning high..low
     for run in re.finditer("0+", w.text):
         high, low = len(w) - run.start(), len(w) - run.end() + 1
-        if depth_before(w, high) == 1:
+        if _depth_left(w.text, high) == 1:
             for l in range(low, high + 1):
                 for k in range(max(low, 2), l):
                     yield _nav_site(i, f"insert ({k},{l})", insert_pair, w,

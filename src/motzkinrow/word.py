@@ -12,9 +12,10 @@ for comparison and overlay.
 ``MotzkinWord(text)``, ``parse`` and ``as_word`` on a string validate their
 input.  Words the library assembles from already-valid pieces (unrank, the
 row neighbours, the range ends, block sums and differences, extended
-blocks, the enumerator) skip that check through the private
-``MotzkinWord._trusted``; where such a word may be longer than its input,
-the builder calls ``check_length`` first.
+blocks, the enumerator, nav rewrites after their own bracket scan
+``_scan``) skip that check through the private ``MotzkinWord._trusted``;
+where such a word may be longer than its input, the builder calls
+``check_length`` first.  Position k of a text is ``text[-k]``.
 """
 
 from __future__ import annotations
@@ -69,10 +70,22 @@ def check_length(n: int) -> None:
         )
 
 
+def _at(text: str, k: int) -> str:
+    """The character in position k of text, "0" past its left end."""
+    if k < 1:
+        raise ArgumentError(f"positions are numbered from 1, got {k}")
+    return text[-k] if k <= len(text) else "0"
+
+
 def _validate_structure(text: str) -> None:
     if not text:
         raise EmptyError("a Motzkin word has at least one symbol")
     check_length(len(text))
+    _scan(text)
+
+
+def _scan(text: str) -> None:
+    """Raise unless nonempty text is a Motzkin word, its length aside."""
     depth = 0
     for i, ch in enumerate(text):
         if ch == "(":
@@ -129,11 +142,7 @@ class MotzkinWord:
 
     def symbol_at(self, k: int) -> Symbol:
         """Symbol in position k, counting 1-based from the right end."""
-        if k < 1:
-            raise ArgumentError(f"positions are numbered from 1, got {k}")
-        if k > len(self.text):
-            return Symbol.ZERO
-        return Symbol.from_char(self.text[len(self.text) - k])
+        return Symbol.from_char(_at(self.text, k))
 
     def __lt__(self, other):
         return self.sort_key < other.sort_key
@@ -226,18 +235,18 @@ def as_word(value) -> MotzkinWord:
 def symbol_at(w, k: int) -> Symbol:
     """Symbol of w in position k (1-based from the right; virtual zeros
     past the left end)."""
-    if isinstance(w, (MotzkinWord, PaddedWord)):
-        return w.symbol_at(k)
     return as_word(w).symbol_at(k)
 
 
 def outer_blocks(w) -> list[BlockSpan]:
     """All maximal depth-0 bracket spans of w, left to right."""
     w = as_word(w)
-    n = len(w)
+    n = len(w.text)
     spans = []
     depth = 0
     open_pos = 0
+    # a valid word's scan yields only valid spans: skip __post_init__
+    new, set_ = object.__new__, object.__setattr__
     for i, ch in enumerate(w.text):
         if ch == "(":
             if depth == 0:
@@ -246,7 +255,10 @@ def outer_blocks(w) -> list[BlockSpan]:
         elif ch == ")":
             depth -= 1
             if depth == 0:
-                spans.append(BlockSpan(open_pos, n - i))
+                span = new(BlockSpan)
+                set_(span, "open_pos", open_pos)
+                set_(span, "close_pos", n - i)
+                spans.append(span)
     return spans
 
 
@@ -274,10 +286,7 @@ def decompose(w) -> list[MotzkinWord]:
     return [_block_word(w, b) for b in blocks]
 
 
-def depth_before(w, k: int) -> int:
-    """Bracket depth accumulated strictly left of position k."""
-    w = as_word(w)
-    if k < 1:
-        raise ArgumentError(f"positions are numbered from 1, got {k}")
-    head = w.text[: max(len(w) - k, 0)]
+def _depth_left(text: str, k: int) -> int:
+    """Bracket depth strictly left of position k >= 1 of text."""
+    head = text[:-k]
     return head.count("(") - head.count(")")

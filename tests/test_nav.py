@@ -9,8 +9,11 @@ from motzkinrow import (
     ArgumentError,
     BlockedError,
     LimitError,
+    MotzkinError,
+    MotzkinWord,
     SiteError,
     Symbol,
+    ValidityError,
     control_points,
     insert_pair,
     merge_adjacent,
@@ -171,6 +174,83 @@ def test_shift_open_rejects_bad_sites():
         shift_open("(0)", 3, -2)  # would cross the closing bracket
     with pytest.raises(ArgumentError):
         shift_open("(00)", 4, -4)  # target below position 1
+
+
+def _holds(word, p, ch):
+    return BlockedError, (f"position {p} of {word!r} holds {ch!r}, blocking "
+                          "the move")
+
+
+# a bracket at either end of a path or zone, or inside it, stops the move;
+# a blocked path names its lowest bracket
+@pytest.mark.parametrize("move, args, error, message", [
+    (shift_open, ("()0()", 2, 2), *_holds("()0()", 4, ")")),
+    (shift_open, ("()(0)", 3, 2), *_holds("()(0)", 4, ")")),  # and 5
+    (shift_open, ("(0)", 3, -2), *_holds("(0)", 1, ")")),
+    (shift_open, ("(0(0))", 6, -4), *_holds("(0(0))", 2, ")")),  # and 4
+    (insert_pair, ("(000)", 2, 5), SiteError,
+     "positions 5..2 of '(000)' are not all zeros"),
+    (insert_pair, ("(00)0", 2, 3), SiteError,
+     "positions 3..2 of '(00)0' are not all zeros"),
+    (remove_pair, ("()(0)()", 2, 6), SiteError,
+     "the zone between positions 6 and 2 of '()(0)()' is not all zeros"),
+])
+def test_blocked_paths_and_zones(move, args, error, message):
+    with pytest.raises(error) as caught:
+        move(*args)
+    assert str(caught.value) == message
+
+
+def test_rewrite_rejects_what_a_lax_site_check_lets_through(monkeypatch,
+                                                            row_through):
+    # the bracket scan of the rewritten word is the safety net: with the
+    # outer-bracket check gone, moves at non-sites raise ValidityError and
+    # every word they do return is still valid
+    from motzkinrow import nav
+
+    monkeypatch.setattr(nav, "_check_outer_bracket", lambda w, k, side: None)
+    with pytest.raises(ValidityError) as caught:
+        shift_open("(0)", 1, 1)
+    assert str(caught.value).startswith("rewrite of '(0)' is not a valid word")
+    moves = [lambda w, k: shift_open(w, k, 1),
+             lambda w, k: shift_open(w, k, -1),
+             lambda w, k: shift_close(w, k, "left"),
+             lambda w, k: shift_close(w, k, "right"),
+             lambda w, k: remove_pair(w, k, k + 1),
+             merge_adjacent, swap_across_zero]
+    invalid = 0
+    for w in row_through(6):
+        for k in range(2, len(w) + 1):
+            for move in moves:
+                try:
+                    rep = move(w, k)
+                except ValidityError:
+                    invalid += 1
+                    continue
+                except MotzkinError:
+                    continue
+                assert MotzkinWord(rep.after.text) == rep.after
+    assert invalid > 100
+
+
+def test_only_a_longer_rewrite_reads_the_length_limit(monkeypatch):
+    from motzkinrow import config
+
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "8")
+    with pytest.raises(LimitError, match="word length 9 exceeds"):
+        shift_open("(000000)", 8, 1)
+    w = parse("(000)(0)")
+    reads = []
+    limit = config.max_word_length
+    monkeypatch.setattr(config, "max_word_length",
+                        lambda: reads.append(1) or limit())
+    assert shift_open(w, 8, -1).after.text == "(00)(0)"
+    assert shift_close(w, 4, "left").after.text == "(00)0(0)"
+    assert merge_adjacent(w, 3).after.text == "(000()0)"
+    assert reads == []
+    with pytest.raises(LimitError, match="word length 9 exceeds"):
+        shift_open(w, 8, 1)
+    assert reads == [1]
 
 
 def test_shift_open_noop():
