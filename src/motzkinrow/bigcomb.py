@@ -1,22 +1,24 @@
-"""Exact Motzkin numbers and bracket-completion counts.
+"""Exact Motzkin numbers and bracket-completion counts, in one table.
 
 Everything here is plain Python integer arithmetic, so values stay exact at
-any size.  Both tables grow on demand and are kept for the life of the
-process.  Growth happens under one lock and a bound is published only after
-the entries under it are complete, so readers need no lock and never
-observe a half-built column.
+any size.  The table is the Motzkin triangle T(m, d) (OEIS A026300),
+stored column by column: column d lists T(m, d) for m = 0, 1, 2, ...,
+and column 0 is the Motzkin table (OEIS A001006).  It grows on demand and
+is kept for the life of the process.
 
-The Motzkin numbers grow by the three-term recurrence of Donaghey and
-Shapiro (OEIS A001006).  The completion counts T(m, d) are the Motzkin
-triangle (OEIS A026300), stored column by column: column d lists T(m, d)
-for m = 0, 1, 2, ..., and column 0 is the Motzkin table.  Each column has
-its own published bound, the last m it holds.  A walk over a word reads
-column d only once its depth reaches d - 1, and from then on only at
-fewer remaining symbols than at that moment, so a word of greatest depth
-h grows columns 0 .. h + 1 and each only as far as the walk first needs
-it.  Column d is built from columns d-1 and d-2 by T(m, d) =
-T(m+1, d-1) - T(m, d-1) - T(m, d-2), which needs each lower column one
-entry further than the one above it.
+A column only ever gets finished values appended, so its length is its
+bound: column d holds m = 0 .. len(column) - 1.  Growth happens under one
+lock, each column stays at least one entry longer than the next, and a
+new column is appended only once it is fully built, so readers need no
+lock and never observe a half-built column.
+
+Column 0 grows by the three-term recurrence of Donaghey and Shapiro.
+Column d is built from columns d-1 and d-2 by T(m, d) = T(m+1, d-1) -
+T(m, d-1) - T(m, d-2), which needs each lower column one entry further
+than the one above it.  A walk over a word reads column d only once its
+depth reaches d - 1, and from then on only at fewer remaining symbols
+than at that moment, so a word of greatest depth h grows columns
+0 .. h + 1 and each only as far as the walk first needs it.
 """
 
 import threading
@@ -26,46 +28,20 @@ from .errors import ArgumentError
 
 _lock = threading.RLock()
 
-# _motzkin[n] is the number of Motzkin words of length n (with leading
-# zeros allowed), seeded with the 0- and 1-length values.
-_motzkin = [1, 1]
-
 # _columns[d][m] = T(m, d) counts the length-m strings over {0, (, )} that
-# start at bracket depth d, never dip below depth 0, and end at depth 0.
-# Column 0 is the Motzkin table itself.  _tops[d] is the published bound of
-# column d: it holds m = 0 .. _tops[d], the entries with m < d being zeros,
-# since deeper starts cannot come back down in time.  Each column reaches
-# at least one entry further than the next: _tops[d] > _tops[d + 1].
-_columns = [_motzkin]
-_tops = [1]
-
-
-def motzkin_numbers(n):
-    """The Motzkin table, grown to hold M[0] .. M[n]; callers only read it.
-
-    It grows by the three-term recurrence
-    (n+2) M[n] = (2n+1) M[n-1] + 3(n-1) M[n-2], whose division is exact,
-    under the module lock.
-    """
-    if n >= len(_motzkin):
-        with _lock:
-            while len(_motzkin) <= n:
-                k = len(_motzkin)
-                _motzkin.append(((2 * k + 1) * _motzkin[k - 1]
-                                 + 3 * (k - 1) * _motzkin[k - 2]) // (k + 2))
-    return _motzkin
+# start at bracket depth d, never dip below depth 0, and end at depth 0;
+# the entries with m < d are zeros, since deeper starts cannot come back
+# down in time.  Column 0, the Motzkin table, is seeded with M[0] and M[1].
+_columns = [[1, 1]]
 
 
 def motzkin(n):
-    """Return the n-th Motzkin number.
-
-    Read from ``motzkin_numbers(n)``, which grows the table by the
-    three-term recurrence (n+2) M[n] = (2n+1) M[n-1] + 3(n-1) M[n-2]
-    under the module lock.
-    """
+    """Return the n-th Motzkin number: column 0 of the table, grown by
+    ``completion_columns`` when it does not reach n yet."""
     if n < 0:
         raise ArgumentError(f"Motzkin numbers are indexed from 0, got {n}")
-    return motzkin_numbers(n)[n]
+    ms = _columns[0]
+    return ms[n] if n < len(ms) else completion_columns(0, n)[0][n]
 
 
 def unique_count(n):
@@ -95,41 +71,39 @@ def _extend(column, d, top):
 
 
 def completion_columns(d, m):
-    """The completions table grown so that column d holds m.
+    """The table grown so that column d holds m.
 
     Returns the columns: ``columns[c][k] == completions(k, c)`` for every
     c <= d and k <= m + d - c, since building column d through m needs
     each lower column one entry further than the one above it.  Callers
-    read only inside the bounds they asked for, never by ``len()``, and
-    never write.
+    read only inside the bounds they asked for and never write.
 
-    Column c is extended only when it is short of m + d - c, the columns
-    it is built from first, and the missing columns are added one at a
-    time, each only as far as this request needs: a column follows the
-    depths the walks have reached, not the longest word.  Growth runs
-    under the module lock, and each column's bound is published only once
-    the column holds every entry under it.
+    Under the module lock, column 0 first grows by the recurrence
+    (n+2) M[n] = (2n+1) M[n-1] + 3(n-1) M[n-2], whose division is exact.
+    Then each column c <= d that is short of m + d - c is extended, the
+    columns it is built from first, and the missing columns are added one
+    at a time, each only as far as this request needs: a column follows
+    the depths the walks have reached, not the longest word.
     """
-    if d < len(_tops) and _tops[d] >= m:
+    if d < len(_columns) and len(_columns[d]) > m:
         return _columns
     with _lock:
-        motzkin_numbers(m + d)
-        _tops[0] = max(_tops[0], m + d)
+        ms = _columns[0]
+        for k in range(len(ms), m + d + 1):
+            ms.append(((2 * k + 1) * ms[k - 1] + 3 * (k - 1) * ms[k - 2])
+                      // (k + 2))
         # the highest column that already reaches far enough; every column
-        # under it does too, since each reaches one further than the next
-        low = min(d, len(_tops) - 1)
-        while low > 0 and _tops[low] < m + d - low:
+        # under it does too, since each is longer than the next
+        low = min(d, len(_columns) - 1)
+        while low > 0 and len(_columns[low]) <= m + d - low:
             low -= 1
         for c in range(low + 1, d + 1):
-            top = m + d - c
             if c < len(_columns):
-                _extend(_columns[c], c, top)
-                _tops[c] = top
+                _extend(_columns[c], c, m + d - c)
             else:
                 column = []
-                _extend(column, c, top)
+                _extend(column, c, m + d - c)
                 _columns.append(column)
-                _tops.append(top)
     return _columns
 
 
@@ -141,7 +115,7 @@ def completions(m, d):
     ``motzkin(n)``, and a start deeper than m leaves no completion.
 
     The count is read from ``completion_columns(d, m)``: column d of the
-    table, grown past its bound under the module lock when needed.
+    table, grown past its length under the module lock when needed.
     """
     if m < 0 or d < 0:
         raise ArgumentError(f"completions needs m, d >= 0, got ({m}, {d})")

@@ -19,18 +19,18 @@ only on the positions touched, never on the rest of the word:
 
 Every operation returns a DeltaReport carrying both the polynomial value
 and the verified delta: the rank difference, summed over the touched
-positions (see ``_report``).  For the first three families the equality
-of the two is proven, so a mismatch raises PolynomialMismatchError.  The
-merge/split family is only conjectured and the zero-gap swap's site
-independence is only audited, so there a mismatch is data for the caller,
-not an error.
+positions from columns 0..4 of the completion table (see ``_report``).
+For the first three families the equality of the two is proven, so a
+mismatch raises PolynomialMismatchError.  The merge/split family is only
+conjectured and the zero-gap swap's site independence is only audited, so
+there a mismatch is data for the caller, not an error.
 
 All positions are 1-based from the right end of the word.
 """
 
 from dataclasses import dataclass
 
-from .bigcomb import motzkin, motzkin_numbers
+from .bigcomb import completion_columns, motzkin
 from .errors import (
     ArgumentError,
     BlockedError,
@@ -68,6 +68,7 @@ def xi(k: int) -> int:
     left across a zero: M[k+2] - 2*M[k+1] + M[k-1]."""
     if k < 1:
         raise ArgumentError(f"xi needs k >= 1, got {k}")
+    check_length(k + 2)  # the smallest host: "(0)" closing at k
     return motzkin(k + 2) - 2 * motzkin(k + 1) + motzkin(k - 1)
 
 
@@ -76,6 +77,7 @@ def zeta(k: int, l: int) -> int:
     (close at l, open at k) are erased: M[l+1] - M[l] - M[l-1] + M[k-1]."""
     if not l > k >= 2:
         raise ArgumentError(f"zeta needs l > k >= 2, got ({k}, {l})")
+    check_length(l + 1)  # the smallest host: "()" closing at l
     return motzkin(l + 1) - motzkin(l) - motzkin(l - 1) + motzkin(k - 1)
 
 
@@ -135,34 +137,21 @@ def _rewrite(w: MotzkinWord, p: int, a: str, q: int, b: str) -> MotzkinWord:
     return MotzkinWord._trusted(text)
 
 
-def _term(ms, m: int, d: int) -> int:
-    """T(m, d) for the depths d <= 3 a nav site reaches, from the Motzkin
-    table ms: T(m,1) = M[m+1] - M[m], T(m,2) = M[m+2] - 2M[m+1] and
-    T(m,3) = M[m+3] - 3M[m+2] + M[m+1] + M[m]."""
-    if d == 0:
-        return ms[m]
-    if d == 1:
-        return ms[m + 1] - ms[m]
-    if d == 2:
-        return ms[m + 2] - 2 * ms[m + 1]
-    return ms[m + 3] - 3 * ms[m + 2] + ms[m + 1] + ms[m]
-
-
-def _site_terms(text: str, site, depth: int, ms) -> int:
+def _site_terms(text: str, site, depth: int, columns) -> int:
     """Sum of the rank terms of word text at the site positions, leftmost
     first, with ``depth`` the bracket depth left of the first one.  A "("
-    at position p with depth d before it adds T(p-1, d), a ")" adds
-    T(p-1, d) + T(p-1, d+1) and a "0" adds nothing; the site's gaps hold
-    zeros only."""
+    at position p with depth d before it adds T(p-1, d) = columns[d][p-1],
+    a ")" adds T(p-1, d) + T(p-1, d+1) and a "0" adds nothing; the site's
+    gaps hold zeros only."""
     n = len(text)
     total = 0
     for p in site:
         ch = text[-p] if p <= n else "0"
         if ch == "(":
-            total += _term(ms, p - 1, depth)
+            total += columns[depth][p - 1]
             depth += 1
         elif ch == ")":
-            total += _term(ms, p - 1, depth) + _term(ms, p - 1, depth + 1)
+            total += columns[depth][p - 1] + columns[depth + 1][p - 1]
             depth -= 1
     return total
 
@@ -177,13 +166,14 @@ def _report(before, after, predicted, site, proven=True) -> DeltaReport:
     depths outside its site alone, zeros in its gaps aside.  The leading "("
     adds T(n-1, 0) = M[n-1], the range base, so a change of length needs no
     special case.  So rank(after) - rank(before) is the difference of the
-    two site sums, read from the Motzkin numbers alone: every site reads
-    depth 3 at most.
+    two site sums.  They read the completion table through columns 0..4 up
+    to the leftmost site position, which covers every site: none takes the
+    depth past 3.
     """
-    ms = motzkin_numbers(site[0] + 2)
+    columns = completion_columns(4, site[0])
     depth = _depth_left(before.text, site[0])
-    verified = (_site_terms(after.text, site, depth, ms)
-                - _site_terms(before.text, site, depth, ms))
+    verified = (_site_terms(after.text, site, depth, columns)
+                - _site_terms(before.text, site, depth, columns))
     report = DeltaReport(before, after, predicted, verified, tuple(site))
     if proven and predicted != verified:
         raise PolynomialMismatchError(

@@ -8,8 +8,9 @@ order; the words of length n occupy the index interval
 Ranking walks the word left to right and, at every position, adds the
 number of admissible completions for each strictly smaller symbol choice.
 Unranking runs the same walk in reverse, always taking the smallest symbol
-whose completion count still covers the remaining offset.  Both walks
-read the columns of the completions table directly.  Only when a walk
+whose completion count still covers the remaining offset, after finding
+the length by bisecting column 0, the Motzkin numbers.  Both walks read
+the columns of the one ``bigcomb`` table directly.  Only when a walk
 reaches a new greatest depth h with m symbols left does it ask for column
 h + 1 through m - 1, so a word of greatest depth h grows columns
 0 .. h + 1 and no deeper.  The neighbor functions do NOT use those counts
@@ -23,7 +24,7 @@ closing brackets) and largest as ``")"*d + "()"*((m-d)//2) + "0"*((m-d)%2)``
 from bisect import bisect_right
 
 from . import config
-from .bigcomb import completion_columns, motzkin, motzkin_numbers
+from .bigcomb import completion_columns, motzkin
 from .errors import ArgumentError, LimitError, UnderflowError
 from .word import MotzkinWord, as_word, check_length
 
@@ -77,7 +78,7 @@ def unrank(i: int) -> MotzkinWord:
     # M[n] >= M[n-1] + 2 M[n-2] >= 2^(n-1), so an index below 2^b lies in
     # a range no longer than b + 1
     top = min(i.bit_length() + 1, config.max_word_length())
-    ms = motzkin_numbers(top)
+    ms = completion_columns(0, top)[0]
     n = bisect_right(ms, i, 1, top + 1)
     if n > top:
         raise LimitError(

@@ -10,7 +10,7 @@ as a virtual zero, which is what lets words of different lengths line up
 for comparison and overlay.
 
 ``MotzkinWord(text)``, ``parse`` and ``as_word`` on a string validate their
-input.  Words the library assembles from already-valid pieces (unrank, the
+input, each with one scan.  Words the library assembles from already-valid pieces (unrank, the
 row neighbours, the range ends, block sums and differences, extended
 blocks, the enumerator, nav rewrites after their own bracket scan
 ``_scan``) skip that check through the private ``MotzkinWord._trusted``;
@@ -210,14 +210,9 @@ def parse(text: str):
     if not isinstance(text, str):
         raise AlphabetError(f"expected a string, got {type(text).__name__}")
     _validate_structure(text)
-    stripped = text.lstrip("0")
-    if not stripped:
-        core, padding = "0", len(text) - 1
-    else:
-        core, padding = stripped, len(text) - len(stripped)
-    if padding == 0:
-        return MotzkinWord(core)
-    return PaddedWord(MotzkinWord(core), padding)
+    core = MotzkinWord._trusted(text.lstrip("0") or "0")
+    padding = len(text) - len(core)
+    return core if padding == 0 else PaddedWord(core, padding)
 
 
 def as_word(value) -> MotzkinWord:

@@ -22,9 +22,7 @@ def fresh_tables():
     """Empty the process-wide tables, so the test sees them grow from the
     start; later callers regrow them on demand."""
     with bigcomb._lock:
-        bigcomb._motzkin[:] = [1, 1]
-        bigcomb._columns[:] = [bigcomb._motzkin]
-        bigcomb._tops[:] = [1]
+        bigcomb._columns[:] = [[1, 1]]
 
 
 def test_motzkin_matches_rational_recurrence():
@@ -141,19 +139,19 @@ def test_motzkin_matches_convolution():
 
 
 def _published_frontier(tri, size):
-    """Read the last published entry of every column by the published
-    bounds alone, as a reader would, and check it against tri where tri
-    reaches; return the number of published columns."""
-    tops = bigcomb._tops
-    depth = len(tops)
-    for d in range(depth):
-        m = tops[d]
-        value = bigcomb._columns[d][m]
+    """Read the last entry of every column by its length alone, as a
+    reader would, check it against tri where tri reaches, and check that
+    every column is longer than the next; return the number of columns."""
+    columns = list(bigcomb._columns)
+    # deepest first: columns only lengthen, so column d, measured after
+    # column d + 1, must still be the longer
+    tops = [len(column) - 1 for column in reversed(columns)][::-1]
+    for d, (column, m) in enumerate(zip(columns, tops)):
         if m <= size and d <= size + 1:
-            assert value == tri[m][d], (m, d)
-        if d + 1 < depth:
+            assert column[m] == tri[m][d], (m, d)
+        if d + 1 < len(tops):
             assert tops[d + 1] < m, d
-    return depth
+    return len(columns)
 
 
 def test_completions_match_full_triangle(fresh_tables, triangle):
@@ -177,7 +175,7 @@ def test_completions_match_full_triangle(fresh_tables, triangle):
             k = m + d - c
             if k <= size:
                 assert columns[c][k] == tri[k][c], (k, c)
-        shapes.add(tuple(bigcomb._tops))
+        shapes.add(tuple(map(len, bigcomb._columns)))
         assert _published_frontier(tri, size) > d
     assert len(shapes) > 10
     pairs = [(m, d) for m in range(size + 1) for d in range(size + 1)]
@@ -188,12 +186,13 @@ def test_completions_match_full_triangle(fresh_tables, triangle):
 
 def test_tables_survive_concurrent_growth(fresh_tables, triangle,
                                          monkeypatch):
-    # many threads grow both tables, and the columns of the completions
-    # table in depth and in length, at once, with frequent thread switches;
-    # every value must still be exact.  A reader can arrive at any moment
-    # of a growth step, so before and after each column is extended, the
-    # newest entry of every published column is read by the published
-    # bounds alone: a bound published before its column is complete fails
+    # many threads grow the table, the Motzkin column and the deeper
+    # columns in depth and in length, at once, with frequent thread
+    # switches; every value must still be exact.  A reader can arrive at
+    # any moment of a growth step, so before and after each column is
+    # extended, the newest entry of every column is read by its length
+    # alone: a column holding an unfinished entry, or one not longer than
+    # the next, fails
     tri = triangle(200)
     extend = bigcomb._extend
     depths = []

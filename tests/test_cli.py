@@ -284,6 +284,12 @@ def test_control_points_past_the_length_limit_is_a_domain_error(capsys,
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+def test_xi_past_the_length_limit_is_a_domain_error(capsys):
+    code, out, err = run_cli(capsys, "xi", "5000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_bad_environment_value_spares_verbs_that_do_not_read_it(capsys,
                                                                  monkeypatch):
     monkeypatch.setenv("MOTZKINROW_AUDIT_SCOPE", "abc")

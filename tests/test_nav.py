@@ -79,6 +79,18 @@ def test_psi_keeps_to_the_word_length_limit(monkeypatch):
         psi(6)
 
 
+def test_xi_and_zeta_keep_to_the_word_length_limit(monkeypatch):
+    # the smallest host of xi(k) is "(0)" closing at k, k + 2 symbols, and
+    # that of zeta(k, l) is "()" closing at l, l + 1 symbols
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "8")
+    assert xi(6) == 90
+    with pytest.raises(LimitError, match="word length 9 exceeds"):
+        xi(7)
+    assert zeta(2, 7) == 146
+    with pytest.raises(LimitError, match="word length 9 exceeds"):
+        zeta(2, 8)
+
+
 def _triangle(m, d):
     # T(m, d): length-m paths from depth d to depth 0 that never go below 0,
     # by T(m, d) = T(m-1, d-1) + T(m-1, d) + T(m-1, d+1) (OEIS A026300)
@@ -101,16 +113,16 @@ def test_psi_triangle_identity():
 
 
 def test_psi_reads_no_completion_counts():
-    # psi is a polynomial in Motzkin numbers, so even a large k leaves the
-    # completions table of a fresh process as it started: the Motzkin
-    # table as its only column, with its first bound
+    # psi is a polynomial in Motzkin numbers, so even a large k grows only
+    # column 0 of the table in a fresh process: the Motzkin numbers
+    # through M[k+3]
     proc = subprocess.run(
         [sys.executable, "-c",
          "import motzkinrow.bigcomb as b, motzkinrow.nav as nav; "
-         "nav.psi(2000); print(len(b._columns), b._tops)"],
+         "nav.psi(2000); print([len(c) for c in b._columns])"],
         capture_output=True, text=True,
     )
-    assert (proc.returncode, proc.stdout) == (0, "1 [1]\n")
+    assert (proc.returncode, proc.stdout) == (0, "[2004]\n")
 
 
 def test_psi_is_site_independent_at_large_k():
@@ -245,12 +257,15 @@ def test_only_a_longer_rewrite_reads_the_length_limit(monkeypatch):
     monkeypatch.setattr(config, "max_word_length",
                         lambda: reads.append(1) or limit())
     assert shift_open(w, 8, -1).after.text == "(00)(0)"
-    assert shift_close(w, 4, "left").after.text == "(00)0(0)"
     assert merge_adjacent(w, 3).after.text == "(000()0)"
     assert reads == []
+    # xi itself keeps to the limit, so shift_close reads it once, for xi
+    assert shift_close(w, 4, "left").after.text == "(00)0(0)"
+    assert reads == [1]
+    # a longer rewrite reads it once more
     with pytest.raises(LimitError, match="word length 9 exceeds"):
         shift_open(w, 8, 1)
-    assert reads == [1]
+    assert reads == [1, 1]
 
 
 def test_shift_open_noop():
@@ -642,16 +657,18 @@ NAV_MOVES = [("shift_open", 2048, -1), ("shift_close", 2042, "left"),
              ("split_block", 2044), ("swap_across_zero", 2040)]
 
 
-def test_nav_moves_grow_no_completion_column():
-    # the site sums read the Motzkin numbers alone, so the moves leave the
-    # completions table of a fresh process as it started
+def test_nav_moves_grow_only_the_columns_a_site_reads():
+    # the site sums read columns 0..4 up to the leftmost site position, so
+    # the moves grow exactly those columns of the table of a fresh process:
+    # no walk over the 2048-symbol host
     assert len(NAV_HOST) == 2048
     script = (
         "import motzkinrow as mz, motzkinrow.bigcomb as b\n"
         f"for name, *args in {NAV_MOVES!r}:\n"
         f"    getattr(mz, name)({NAV_HOST!r}, *args)\n"
-        "print(len(b._columns), b._tops)\n"
+        "print([len(c) for c in b._columns])\n"
     )
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1 [1]\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "[2053, 2052, 2051, 2050, 2049]\n", "")

@@ -259,7 +259,7 @@ def test_nav_audits_check_against_rank_not_the_site_sum(monkeypatch):
     # with rank(after) minus the word's oracle index
     from motzkinrow import PolynomialMismatchError, nav
 
-    monkeypatch.setattr(nav, "_term", lambda ms, m, d: 0)
+    monkeypatch.setattr(nav, "_site_terms", lambda *args: 0)
     with pytest.raises(PolynomialMismatchError):
         nav.shift_open("(00)", 4, 1)
     for check in ("corollary_3_1", "corollary_3_3", "corollary_4_1",

@@ -14,6 +14,7 @@ from motzkinrow import (
     Symbol,
     UnbalancedError,
     ZeroWordError,
+    as_word,
     decompose,
     extended_block,
     outer_blocks,
@@ -56,6 +57,20 @@ def test_parse_errors():
         parse("(0")
     with pytest.raises(UnbalancedError):
         parse("(()")
+
+
+def test_parse_scans_a_string_once(monkeypatch):
+    import motzkinrow.word as word
+
+    scans = []
+    scan = word._scan
+    monkeypatch.setattr(word, "_scan",
+                        lambda text: scans.append(text) or scan(text))
+    assert parse("(0)").text == "(0)"
+    assert parse("00(0)").core.text == "(0)"
+    assert as_word("00()").text == "()"
+    assert as_word("0").text == "0"
+    assert scans == ["(0)", "00(0)", "00()", "0"]
 
 
 def test_direct_construction_requires_canonical():
