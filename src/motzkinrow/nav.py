@@ -25,6 +25,12 @@ mismatch raises PolynomialMismatchError.  The merge/split family is only
 conjectured and the zero-gap swap's site independence is only audited, so
 there a mismatch is data for the caller, not an error.
 
+Each public move runs ``as_word``, then its core (its name with a leading
+underscore), then ``_report``.  The core runs the site checks and the
+rewrite and returns (after, predicted, site), reading xi, zeta and psi
+through the guard-free ``_xi``, ``_zeta`` and ``_psi``: a host word is
+already within the length limit.  The audits run the cores, report-free.
+
 All positions are 1-based from the right end of the word.
 """
 
@@ -69,6 +75,10 @@ def xi(k: int) -> int:
     if k < 1:
         raise ArgumentError(f"xi needs k >= 1, got {k}")
     check_length(k + 2)  # the smallest host: "(0)" closing at k
+    return _xi(k)
+
+
+def _xi(k):
     return motzkin(k + 2) - 2 * motzkin(k + 1) + motzkin(k - 1)
 
 
@@ -78,6 +88,10 @@ def zeta(k: int, l: int) -> int:
     if not l > k >= 2:
         raise ArgumentError(f"zeta needs l > k >= 2, got ({k}, {l})")
     check_length(l + 1)  # the smallest host: "()" closing at l
+    return _zeta(k, l)
+
+
+def _zeta(k, l):
     return motzkin(l + 1) - motzkin(l) - motzkin(l - 1) + motzkin(k - 1)
 
 
@@ -97,6 +111,10 @@ def psi(k: int) -> int:
     if k < 2:
         raise ArgumentError(f"psi needs k >= 2, got {k}")
     check_length(k + 3)  # the drop is taken between (k+3)-words
+    return _psi(k)
+
+
+def _psi(k):
     return (motzkin(k + 3) - 3 * motzkin(k + 2) + 2 * motzkin(k + 1)
             + motzkin(k))
 
@@ -193,6 +211,10 @@ def shift_open(w, k: int, j: int) -> DeltaReport:
     rightward moves stay inside the block.  Delta: M[k-1+j] - M[k-1].
     """
     w = as_word(w)
+    return _report(w, *_shift_open(w, k, j))
+
+
+def _shift_open(w, k, j):
     _check_outer_bracket(w, k, "open")
     if k + j < 1:
         raise ArgumentError(f"target position {k + j} is below 1")
@@ -206,7 +228,7 @@ def shift_open(w, k: int, j: int) -> DeltaReport:
         )
     after = _rewrite(w, k, "0", k + j, "(") if j else w
     predicted = motzkin(k - 1 + j) - motzkin(k - 1)
-    return _report(w, after, predicted, (max(k, k + j), min(k, k + j)))
+    return after, predicted, (max(k, k + j), min(k, k + j))
 
 
 def shift_close(w, k: int, direction: str) -> DeltaReport:
@@ -217,14 +239,17 @@ def shift_close(w, k: int, direction: str) -> DeltaReport:
     length never changes.
     """
     w = as_word(w)
+    return _report(w, *_shift_close(w, k, direction))
+
+
+def _shift_close(w, k, direction):
     _check_outer_bracket(w, k, "close")
     if direction == "left":
         if _at(w.text, k + 1) != "0":
             raise BlockedError(
                 f"position {k + 1} of {w.text!r} is not a zero"
             )
-        after = _rewrite(w, k + 1, ")", k, "0")
-        return _report(w, after, xi(k), (k + 1, k))
+        return _rewrite(w, k + 1, ")", k, "0"), _xi(k), (k + 1, k)
     if direction == "right":
         if k < 2:
             raise ArgumentError("a closing bracket cannot move right of position 1")
@@ -232,8 +257,7 @@ def shift_close(w, k: int, direction: str) -> DeltaReport:
             raise BlockedError(
                 f"position {k - 1} of {w.text!r} is not a zero"
             )
-        after = _rewrite(w, k, "0", k - 1, ")")
-        return _report(w, after, -xi(k - 1), (k, k - 1))
+        return _rewrite(w, k, "0", k - 1, ")"), -_xi(k - 1), (k, k - 1)
     raise ArgumentError(f"direction must be 'left' or 'right', got {direction!r}")
 
 
@@ -241,6 +265,10 @@ def remove_pair(w, k: int, l: int) -> DeltaReport:
     """Erase the closing bracket at l and the opening bracket at k of two
     neighboring outer blocks, joining them; delta -zeta(k, l)."""
     w = as_word(w)
+    return _report(w, *_remove_pair(w, k, l))
+
+
+def _remove_pair(w, k, l):
     if not l > k >= 2:
         raise ArgumentError(f"remove_pair needs l > k >= 2, got ({k}, {l})")
     _check_outer_bracket(w, l, "close")
@@ -250,14 +278,17 @@ def remove_pair(w, k: int, l: int) -> DeltaReport:
             f"the zone between positions {l} and {k} of {w.text!r} "
             "is not all zeros"
         )
-    after = _rewrite(w, l, "0", k, "0")
-    return _report(w, after, -zeta(k, l), (l, k))
+    return _rewrite(w, l, "0", k, "0"), -_zeta(k, l), (l, k)
 
 
 def insert_pair(w, k: int, l: int) -> DeltaReport:
     """Write a close bracket at l and an open bracket at k inside a
     block's depth-1 zero zone, splitting the block; delta +zeta(k, l)."""
     w = as_word(w)
+    return _report(w, *_insert_pair(w, k, l))
+
+
+def _insert_pair(w, k, l):
     if not l > k >= 2:
         raise ArgumentError(f"insert_pair needs l > k >= 2, got ({k}, {l})")
     if w.text[-l : 1 - k].strip("0"):
@@ -269,8 +300,7 @@ def insert_pair(w, k: int, l: int) -> DeltaReport:
             f"positions {l}..{k} of {w.text!r} do not lie directly inside "
             "an outer block"
         )
-    after = _rewrite(w, l, ")", k, "(")
-    return _report(w, after, zeta(k, l), (l, k))
+    return _rewrite(w, l, ")", k, "("), _zeta(k, l), (l, k)
 
 
 def merge_adjacent(w, k: int) -> DeltaReport:
@@ -281,10 +311,13 @@ def merge_adjacent(w, k: int) -> DeltaReport:
     verified delta is the authority; callers can compare the two.
     """
     w = as_word(w)
+    return _report(w, *_merge_adjacent(w, k), proven=False)
+
+
+def _merge_adjacent(w, k):
     _check_outer_bracket(w, k + 1, "close")
     _check_outer_bracket(w, k, "open")
-    after = _rewrite(w, k + 1, "(", k, ")")
-    return _report(w, after, -motzkin(k), (k + 1, k), proven=False)
+    return _rewrite(w, k + 1, "(", k, ")"), -motzkin(k), (k + 1, k)
 
 
 def split_block(w, k: int) -> DeltaReport:
@@ -292,6 +325,10 @@ def split_block(w, k: int) -> DeltaReport:
     depth 1 inside an outer block swaps into two touching blocks;
     conjectured delta +M[k]."""
     w = as_word(w)
+    return _report(w, *_split_block(w, k), proven=False)
+
+
+def _split_block(w, k):
     if _at(w.text, k + 1) != "(" or _at(w.text, k) != ")":
         raise SiteError(
             f"positions {k + 1}, {k} of {w.text!r} are not an adjacent "
@@ -302,8 +339,7 @@ def split_block(w, k: int) -> DeltaReport:
             f"the pair at positions {k + 1}, {k} of {w.text!r} is not "
             "directly inside an outer block"
         )
-    after = _rewrite(w, k + 1, ")", k, "(")
-    return _report(w, after, motzkin(k), (k + 1, k), proven=False)
+    return _rewrite(w, k + 1, ")", k, "("), motzkin(k), (k + 1, k)
 
 
 def swap_across_zero(w, k: int) -> DeltaReport:
@@ -317,12 +353,15 @@ def swap_across_zero(w, k: int) -> DeltaReport:
     raised.
     """
     w = as_word(w)
+    return _report(w, *_swap_across_zero(w, k), proven=False)
+
+
+def _swap_across_zero(w, k):
     _check_outer_bracket(w, k + 2, "close")
     if _at(w.text, k + 1) != "0":
         raise SiteError(f"position {k + 1} of {w.text!r} is not a zero")
     _check_outer_bracket(w, k, "open")
-    after = _rewrite(w, k + 2, "(", k, ")")
-    return _report(w, after, -psi(k), (k + 2, k + 1, k), proven=False)
+    return _rewrite(w, k + 2, "(", k, ")"), -_psi(k), (k + 2, k + 1, k)
 
 
 # psi enters the nested_block polynomial because that landmark is reached

@@ -9,7 +9,10 @@ the two is therefore evidence, not a tautology.
 Audits run a named exhaustive check over bounded ranges and return a
 structured report.  Every per-word check is a probe: a generator that
 yields one (site, predicted, verified) triple per checked site, driven by
-one loop over the oracle's words and their indexes.  Checks backed by
+one loop over the oracle's words, their positions and the range's
+{text: position} index.  The nav probes run the moves' report-free cores
+and take the verified delta from that index; only a shift_open that
+changes the word's length is checked against rank.  Checks backed by
 proofs are expected to pass; the conjectured ones (block merge deltas,
 zero-gap swap site-independence) report counterexamples as data instead
 of asserting, so a scope extension can never crash the harness, only
@@ -21,7 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 
-from . import config
+from . import config, nav
 from .bigcomb import motzkin, unique_count
 from .blockops import add, decompose_sum, sub
 from .errors import (
@@ -31,19 +34,7 @@ from .errors import (
     UnknownCheckError,
     UnknownSequenceError,
 )
-from .nav import (
-    control_points,
-    insert_pair,
-    merge_adjacent,
-    psi,
-    remove_pair,
-    shift_close,
-    shift_open,
-    split_block,
-    swap_across_zero,
-    xi,
-    zeta,
-)
+from .nav import control_points, psi, xi, zeta
 from .rowindex import compare, rank, unrank
 from .word import (
     MotzkinWord,
@@ -148,13 +139,17 @@ class AuditReport:
 
 
 def _run_words(probe, n):
-    """Run probe(word, index) over the n-range in row order.  Each
-    (site, predicted, verified) triple it yields is one check; one whose
-    predicted and verified values differ is a counterexample."""
+    """Run probe(word, i, index) over the n-range in row order, with i the
+    word's oracle position and index the range's {text: position}, built
+    once from the enumerator.  Each (site, predicted, verified) triple a
+    probe yields is one check; one whose predicted and verified values
+    differ is a counterexample."""
     count = 0
     bad = []
-    for i, w in enumerate(enumerate_range(n), _range_base(n)):
-        for site, predicted, verified in probe(w, i):
+    words = enumerate_range(n)
+    index = {w.text: i for i, w in enumerate(words, _range_base(n))}
+    for i, w in enumerate(words, _range_base(n)):
+        for site, predicted, verified in probe(w, i, index):
             count += 1
             if predicted != verified:
                 bad.append((w.text, site, predicted, verified))
@@ -170,27 +165,30 @@ def _report_of(move, *args):
         return exc.report
 
 
-def _nav_site(i, site, move, *args):
-    """One nav move on the word of oracle index i, checked against rank:
-    the verified delta is rank(after) - i, not the move's own site sum."""
-    rep = _report_of(move, *args)
-    return site, rep.predicted_delta, rank(rep.after) - i
+def _nav_site(index, i, site, core, *args):
+    """One nav move core (no report, no site sum) on the word of oracle
+    position i.  The verified delta is the after-word's position in the
+    range's index minus i; only a shift_open that changes the word's
+    length leaves the range, and there it is rank(after) - i."""
+    after, predicted, _ = core(*args)
+    j = index.get(after.text)
+    return site, predicted, (rank(after) if j is None else j) - i
 
 
 # --- probes: one generator of (site, predicted, verified) per check --------
 
 
-def _rank_roundtrip(w, i):
+def _rank_roundtrip(w, i, index):
     back = unrank(i)
     yield f"unrank({i})={back.text}", i, (i if back == w else None)
     yield "rank", i, rank(w)
 
 
-def _theorem_2_4(w, i):
+def _theorem_2_4(w, i, index):
     yield "block-sum", sum(rank(p) for p in decompose(w)), rank(w)
 
 
-def _open_sites(w, i):
+def _open_sites(w, i, index):
     # across the zeros right of the bracket (position p is text[-p]), then
     # those left of it: two virtual zeros past the word when it leads
     text = w.text
@@ -199,49 +197,52 @@ def _open_sites(w, i):
         left, right = text[:-k], text[1 - k :].lstrip("0")
         run = len(left) - len(left.rstrip("0")) if left else 2
         for j in (*range(-1, len(right) - k, -1), *range(1, run + 1)):
-            yield _nav_site(i, f"open k={k} j={j:+d}", shift_open, w, k, j)
+            yield _nav_site(index, i, f"open k={k} j={j:+d}",
+                            nav._shift_open, w, k, j)
 
 
-def _close_sites(w, i):
+def _close_sites(w, i, index):
     text = w.text
     for b in outer_blocks(w):
         k = b.close_pos
         if text[-k - 1] == "0":
-            yield _nav_site(i, f"close k={k} left", shift_close, w, k,
-                            "left")
+            yield _nav_site(index, i, f"close k={k} left", nav._shift_close,
+                            w, k, "left")
         if k >= 2 and text[1 - k] == "0":
-            yield _nav_site(i, f"close k={k} right", shift_close, w, k,
-                            "right")
+            yield _nav_site(index, i, f"close k={k} right",
+                            nav._shift_close, w, k, "right")
 
 
-def _pair_sites(w, i):
+def _pair_sites(w, i, index):
     blocks = outer_blocks(w)
     for left, right in zip(blocks, blocks[1:]):
         l, k = left.close_pos, right.open_pos
         if k >= 2:
-            yield _nav_site(i, f"remove ({k},{l})", remove_pair, w, k, l)
+            yield _nav_site(index, i, f"remove ({k},{l})", nav._remove_pair,
+                            w, k, l)
     # every pair inside a maximal zero run at depth 1, run spanning high..low
     for run in re.finditer("0+", w.text):
         high, low = len(w) - run.start(), len(w) - run.end() + 1
         if _depth_left(w.text, high) == 1:
             for l in range(low, high + 1):
                 for k in range(max(low, 2), l):
-                    yield _nav_site(i, f"insert ({k},{l})", insert_pair, w,
-                                    k, l)
+                    yield _nav_site(index, i, f"insert ({k},{l})",
+                                    nav._insert_pair, w, k, l)
 
 
-def _block_pair_sites(gap, label, move, w, i):
-    """Apply move at every pair of neighboring outer blocks whose touching
-    brackets sit gap positions apart (1: merge, 2: zero-gap swap)."""
+def _block_pair_sites(gap, label, core, w, i, index):
+    """Apply a move core at every pair of neighboring outer blocks whose
+    touching brackets sit gap positions apart (1: merge, 2: zero-gap
+    swap)."""
     blocks = outer_blocks(w)
     for left, right in zip(blocks, blocks[1:]):
         if left.close_pos == right.open_pos + gap:
             k = right.open_pos
-            yield _nav_site(i, f"{label} k={k}", move, w, k)
+            yield _nav_site(index, i, f"{label} k={k}", core, w, k)
 
 
-_merge_sites = partial(_block_pair_sites, 1, "merge", merge_adjacent)
-_swap_sites = partial(_block_pair_sites, 2, "swap", swap_across_zero)
+_merge_sites = partial(_block_pair_sites, 1, "merge", nav._merge_adjacent)
+_swap_sites = partial(_block_pair_sites, 2, "swap", nav._swap_across_zero)
 
 
 def _run_order_agreement(scope):
@@ -348,7 +349,7 @@ def _replay_open_drift(bad):
     c = 0
     for before, k, j, after, delta in cases:
         case = f"open drift {before} k={k} j={j}"
-        rep = _replay_move(bad, case, shift_open, before, k, j)
+        rep = _replay_move(bad, case, nav.shift_open, before, k, j)
         c += _expect(bad, f"{case} word", rep.after.text, after)
         c += _expect(bad, f"{case} delta", rep.verified_delta, delta)
     return c
@@ -364,7 +365,7 @@ def _replay_close_drift(bad):
     c = 0
     for before, k, direction, after, delta in cases:
         case = f"close drift {before} {direction}"
-        rep = _replay_move(bad, case, shift_close, before, k, direction)
+        rep = _replay_move(bad, case, nav.shift_close, before, k, direction)
         c += _expect(bad, f"{case} word", rep.after.text, after)
         c += _expect(bad, f"{case} delta", rep.verified_delta, delta)
     return c
@@ -372,10 +373,10 @@ def _replay_close_drift(bad):
 
 def _replay_pair_removal(bad):
     c = 0
-    rep = _replay_move(bad, "removal", remove_pair, "()00(())", 4, 7)
+    rep = _replay_move(bad, "removal", nav.remove_pair, "()00(())", 4, 7)
     c += _expect(bad, "removal word", rep.after.text, "(0000())")
     c += _expect(bad, "removal delta", rep.verified_delta, -149)
-    rep = _replay_move(bad, "reinsertion", insert_pair, "(0000())", 4, 7)
+    rep = _replay_move(bad, "reinsertion", nav.insert_pair, "(0000())", 4, 7)
     c += _expect(bad, "reinsertion word", rep.after.text, "()00(())")
     c += _expect(bad, "reinsertion delta", rep.verified_delta, 149)
     # the remaining cases carry garbled word strings; regenerated by index
@@ -383,11 +384,11 @@ def _replay_pair_removal(bad):
         (491, 4, 5, 516, 25),
         (1152, 5, 6, 1216, 64),
     ]:
-        rep = _replay_move(bad, f"insert into {i_before}", insert_pair,
+        rep = _replay_move(bad, f"insert into {i_before}", nav.insert_pair,
                            unrank(i_before), k, l)
         c += _expect(bad, f"insert into {i_before}", rep.after, unrank(i_after))
         c += _expect(bad, f"insert into {i_before} delta", rep.verified_delta, delta)
-    rep = _replay_move(bad, "remove from 2153", remove_pair, unrank(2153), 5, 7)
+    rep = _replay_move(bad, "remove from 2153", nav.remove_pair, unrank(2153), 5, 7)
     c += _expect(bad, "remove from 2153", rep.after, unrank(1999))
     c += _expect(bad, "remove from 2153 delta", rep.verified_delta, -154)
     return c
@@ -397,7 +398,7 @@ def _replay_block_merge(bad):
     c = 0
     for n in range(7, 11):
         before = "(0)()" + "0" * (n - 5)
-        rep = merge_adjacent(before, n - 3)
+        rep = nav.merge_adjacent(before, n - 3)
         c += _expect(bad, f"merge n={n} word", rep.after.text, "(0())" + "0" * (n - 5))
         c += _expect(bad, f"merge n={n} delta", rep.verified_delta, -motzkin(n - 3))
         c += _expect(bad, f"merge n={n} agreement", rep.agrees, True)
@@ -408,18 +409,18 @@ def _replay_zero_gap_swap(bad):
     c = 0
     # three-step climb from the pair-inside-block landmark to the nested
     # one, range 7: indexes 70 -> 79 -> 113 -> 88, net +18
-    s1 = split_block("(0())00", 4)
-    s2 = _replay_move(bad, "chain-7 close drift", shift_close, s1.after, 5, "left")
-    s3 = swap_across_zero(s2.after, 4)
+    s1 = nav.split_block("(0())00", 4)
+    s2 = _replay_move(bad, "chain-7 close drift", nav.shift_close, s1.after, 5, "left")
+    s3 = nav.swap_across_zero(s2.after, 4)
     c += _expect(bad, "chain-7 words", (s1.after.text, s2.after.text, s3.after.text),
                  ("(0)()00", "()0()00", "((0))00"))
     c += _expect(bad, "chain-7 net",
                  s1.verified_delta + s2.verified_delta + s3.verified_delta, 18)
     c += _expect(bad, "chain-7 endpoints", (rank("(0())00"), rank("((0))00")), (70, 88))
     # same climb inside a host with an extra block, range 9: 464 -> 584
-    s1 = split_block("(0())(0)0", 6)
-    s2 = _replay_move(bad, "chain-9 close drift", shift_close, s1.after, 7, "left")
-    s3 = swap_across_zero(s2.after, 6)
+    s1 = nav.split_block("(0())(0)0", 6)
+    s2 = _replay_move(bad, "chain-9 close drift", nav.shift_close, s1.after, 7, "left")
+    s3 = nav.swap_across_zero(s2.after, 6)
     c += _expect(bad, "chain-9 end", s3.after.text, "((0))(0)0")
     c += _expect(bad, "chain-9 net",
                  s1.verified_delta + s2.verified_delta + s3.verified_delta, 120)
@@ -428,7 +429,7 @@ def _replay_zero_gap_swap(bad):
                  (464, 584))
     # the single-zero split whose recorded words are garbled: regenerated
     # from indexes 1958 and 1502, delta -psi(7) = -456
-    rep = swap_across_zero(unrank(1958), 7)
+    rep = nav.swap_across_zero(unrank(1958), 7)
     c += _expect(bad, "swap 1958 word", rep.after, unrank(1502))
     c += _expect(bad, "swap 1958 delta", rep.verified_delta, -456)
     c += _expect(bad, "swap 1958 agreement", rep.agrees, True)

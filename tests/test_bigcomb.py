@@ -1,6 +1,8 @@
 import itertools
+import queue
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -205,14 +207,58 @@ def test_tables_survive_concurrent_growth(fresh_tables, triangle,
     monkeypatch.setattr(bigcomb, "_extend", extend_between_reads)
     requests = [(m, d) for m in range(1, 201, 3) for d in range(0, m + 1, 9)]
     random.Random(7).shuffle(requests)
+    # column 0 grows inside completion_columns, not through _extend, so
+    # reader threads read its newest entry by its length all along.  The
+    # interpreter may switch threads at no point between a list append and
+    # the next store, so the growing threads' profile hook also stops them
+    # after every C call inside completion_columns until a reader has read
+    stop = threading.Event()
+    handoffs = queue.Queue()
+    wrong = []
+
+    def read_newest_motzkin():
+        while not stop.is_set():
+            try:
+                done = handoffs.get(timeout=0.001)
+            except queue.Empty:
+                done = None
+            column = bigcomb._columns[0]
+            m = len(column) - 1
+            value = column[m]
+            if m <= 200 and value != tri[m][0]:
+                wrong.append((m, value))
+            if done:
+                done.set()
+
+    growth = bigcomb.completion_columns.__code__
+
+    def hand_to_a_reader(frame, event, arg):
+        if event == "c_return" and frame.f_code is growth:
+            done = threading.Event()
+            handoffs.put(done)
+            done.wait(1)
+
+    readers = [threading.Thread(target=read_newest_motzkin)
+               for _ in range(3)]
+    for reader in readers:
+        reader.start()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    threading.setprofile(hand_to_a_reader)  # threads started from here on
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
+            rising = list(pool.map(motzkin, range(2, 201)))
             motzkins = list(pool.map(motzkin, [120] * 16))
             values = list(pool.map(lambda md: completions(*md), requests))
     finally:
+        threading.setprofile(None)
+        stop.set()
+        for reader in readers:
+            reader.join(10)
         sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert wrong == []
+    assert rising == [tri[n][0] for n in range(2, 201)]
     assert len(set(motzkins)) == 1
     assert motzkins[0] == tri[120][0]
     for (m, d), value in zip(requests, values):

@@ -8,6 +8,7 @@ from motzkinrow import (
     AuditReport,
     Counterexample,
     LimitError,
+    MotzkinError,
     UnknownCheckError,
     UnknownSequenceError,
     audit,
@@ -17,6 +18,7 @@ from motzkinrow import (
     report_lines,
     report_text,
     sequence,
+    shift_open,
     unique_count,
     unrank,
 )
@@ -199,14 +201,16 @@ def test_addendum_limit():
 @pytest.fixture
 def wrong_polynomials(monkeypatch):
     """Put one off-by-one fault into each nav polynomial family: xi(4),
-    zeta(., 6), the Motzkin number M[5] that nav reads and psi(6)."""
+    zeta(., 6), the Motzkin number M[5] that nav reads and psi(6).  The
+    faults go into the guard-free polynomials that the moves read, which
+    the public xi, zeta and psi return too."""
     from motzkinrow import nav
 
-    xi, zeta, mot, psi = nav.xi, nav.zeta, nav.motzkin, nav.psi
-    monkeypatch.setattr(nav, "xi", lambda k: xi(k) + (k == 4))
-    monkeypatch.setattr(nav, "zeta", lambda k, l: zeta(k, l) + (l == 6))
+    xi, zeta, mot, psi = nav._xi, nav._zeta, nav.motzkin, nav._psi
+    monkeypatch.setattr(nav, "_xi", lambda k: xi(k) + (k == 4))
+    monkeypatch.setattr(nav, "_zeta", lambda k, l: zeta(k, l) + (l == 6))
     monkeypatch.setattr(nav, "motzkin", lambda n: mot(n) + (n == 5))
-    monkeypatch.setattr(nav, "psi", lambda k: psi(k) + (k == 6))
+    monkeypatch.setattr(nav, "_psi", lambda k: psi(k) + (k == 6))
 
 
 @pytest.mark.parametrize("check, checked, found, head, tail", [
@@ -256,7 +260,8 @@ def test_failing_audit_reports_are_pinned(wrong_polynomials, check, checked,
 def test_nav_audits_check_against_rank_not_the_site_sum(monkeypatch):
     # with every nav site sum broken, the moves' own verified deltas are
     # wrong, yet the audits still pass: each probe compares the polynomial
-    # with rank(after) minus the word's oracle index
+    # with the after-word's oracle position (its rank, where shift_open
+    # changes the length) minus the word's
     from motzkinrow import PolynomialMismatchError, nav
 
     monkeypatch.setattr(nav, "_site_terms", lambda *args: 0)
@@ -269,11 +274,51 @@ def test_nav_audits_check_against_rank_not_the_site_sum(monkeypatch):
             ("pass", ()), ("conjecture-holds", ())}, check
 
 
+def test_length_keeping_nav_audits_read_no_rank(monkeypatch):
+    # a move that keeps the word's length stays in its range, so its
+    # verified delta is read from the oracle's positions; only a shift_open
+    # that changes the length leaves the range and ranks its after-word
+    from motzkinrow import verify
+
+    keeping = ("corollary_3_3", "corollary_4_1", "conjecture_4_3",
+               "psi_site_independence")
+    want = {check: audit(check, 8) for check in keeping + ("corollary_3_1",)}
+    real_rank = verify.rank
+
+    def no_rank(w):
+        raise AssertionError(f"rank({w.text!r}) called")
+
+    monkeypatch.setattr(verify, "rank", no_rank)
+    for check in keeping:
+        assert audit(check, 8) == want[check], check
+    ranked = []
+    monkeypatch.setattr(verify, "rank",
+                        lambda w: ranked.append(w) or real_rank(w))
+    assert audit("corollary_3_1", 8) == want["corollary_3_1"]
+    # the same sites through the public move: every opening bracket moved
+    # across zeros either way, the word growing by two symbols at most
+    sites = resized = 0
+    for n in range(2, 9):
+        for w in enumerate_range(n):
+            for k in range(1, n + 1):
+                for j in range(1 - k, n + 3 - k):
+                    if j == 0 or w.text[-k] != "(":
+                        continue
+                    try:
+                        after = shift_open(w, k, j).after
+                    except MotzkinError:
+                        continue
+                    sites += 1
+                    resized += len(after) != n
+    assert sites == want["corollary_3_1"].counts
+    assert 0 < len(ranked) == resized < sites
+
+
 def test_paper_examples_report_a_wrong_proven_polynomial(monkeypatch, capsys):
     from motzkinrow import cli, nav
 
-    xi = nav.xi
-    monkeypatch.setattr(nav, "xi", lambda k: xi(k) + (k == 5))
+    xi = nav._xi
+    monkeypatch.setattr(nav, "_xi", lambda k: xi(k) + (k == 5))
     rep = audit("paper_examples", 0)
     assert (rep.outcome, rep.counts) == ("fail", 73)
     # each replay case that crosses xi(5) is named, and the replay goes on
