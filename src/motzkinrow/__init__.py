@@ -7,146 +7,57 @@ rank/unrank on that order, partial addition and subtraction of words
 through their outer blocks, bracket-motion operations whose index jumps
 are closed-form polynomials in Motzkin numbers, and a brute-force
 verification harness for all of it.
+
+The package imports a module on first use of a name it exports (PEP 562),
+so a caller pays only for the modules it uses.
 """
 
-from .bigcomb import completions, motzkin, unique_count
-from .blockops import add, decompose_sum, includes, noncrossing, sub
-from .errors import (
-    AlphabetError,
-    ArgumentError,
-    BlockedError,
-    ConfigError,
-    CrossingError,
-    EmptyError,
-    InclusionError,
-    LimitError,
-    MotzkinError,
-    NotCanonicalError,
-    PolynomialMismatchError,
-    PrefixViolationError,
-    SiteError,
-    SpanError,
-    UnbalancedError,
-    UnderflowError,
-    UnknownCheckError,
-    UnknownSequenceError,
-    ValidityError,
-    WordError,
-    ZeroWordError,
-)
-from .nav import (
-    DeltaReport,
-    control_points,
-    insert_pair,
-    merge_adjacent,
-    psi,
-    remove_pair,
-    shift_close,
-    shift_open,
-    split_block,
-    swap_across_zero,
-    xi,
-    zeta,
-)
-from .rowindex import (
-    compare,
-    predecessor,
-    range_max,
-    range_min,
-    rank,
-    successor,
-    unrank,
-)
-from .verify import (
-    AuditReport,
-    Counterexample,
-    audit,
-    enumerate_range,
-    regenerate_addendum,
-    report_lines,
-    report_text,
-    sequence,
-)
-from .word import (
-    BlockSpan,
-    MotzkinWord,
-    PaddedWord,
-    Symbol,
-    as_word,
-    decompose,
-    extended_block,
-    outer_blocks,
-    parse,
-    symbol_at,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphabetError",
-    "ArgumentError",
-    "AuditReport",
-    "BlockSpan",
-    "BlockedError",
-    "ConfigError",
-    "Counterexample",
-    "CrossingError",
-    "DeltaReport",
-    "EmptyError",
-    "InclusionError",
-    "LimitError",
-    "MotzkinError",
-    "MotzkinWord",
-    "NotCanonicalError",
-    "PaddedWord",
-    "PolynomialMismatchError",
-    "PrefixViolationError",
-    "SiteError",
-    "SpanError",
-    "Symbol",
-    "UnbalancedError",
-    "UnderflowError",
-    "UnknownCheckError",
-    "UnknownSequenceError",
-    "ValidityError",
-    "WordError",
-    "ZeroWordError",
-    "add",
-    "as_word",
-    "audit",
-    "compare",
-    "completions",
-    "control_points",
-    "decompose",
-    "decompose_sum",
-    "enumerate_range",
-    "extended_block",
-    "includes",
-    "insert_pair",
-    "merge_adjacent",
-    "motzkin",
-    "noncrossing",
-    "outer_blocks",
-    "parse",
-    "predecessor",
-    "psi",
-    "range_max",
-    "range_min",
-    "rank",
-    "regenerate_addendum",
-    "remove_pair",
-    "report_lines",
-    "report_text",
-    "sequence",
-    "shift_close",
-    "shift_open",
-    "split_block",
-    "sub",
-    "successor",
-    "swap_across_zero",
-    "symbol_at",
-    "unique_count",
-    "unrank",
-    "xi",
-    "zeta",
-]
+# module: the names it exports
+_EXPORTS = {
+    "bigcomb": ("completions", "motzkin", "unique_count"),
+    "blockops": ("add", "decompose_sum", "includes", "noncrossing", "sub"),
+    "errors": (
+        "AlphabetError", "ArgumentError", "BlockedError", "ConfigError",
+        "CrossingError", "EmptyError", "InclusionError", "LimitError",
+        "MotzkinError", "NotCanonicalError", "PolynomialMismatchError",
+        "PrefixViolationError", "SiteError", "SpanError", "UnbalancedError",
+        "UnderflowError", "UnknownCheckError", "UnknownSequenceError",
+        "ValidityError", "WordError", "ZeroWordError",
+    ),
+    "nav": (
+        "DeltaReport", "control_points", "insert_pair", "merge_adjacent",
+        "psi", "remove_pair", "shift_close", "shift_open", "split_block",
+        "swap_across_zero", "xi", "zeta",
+    ),
+    "rowindex": ("compare", "predecessor", "range_max", "range_min", "rank",
+                 "successor", "unrank"),
+    "verify": (
+        "AuditReport", "Counterexample", "audit", "enumerate_range",
+        "regenerate_addendum", "report_lines", "report_text", "sequence",
+    ),
+    "word": ("BlockSpan", "MotzkinWord", "PaddedWord", "Symbol", "as_word",
+             "decompose", "extended_block", "outer_blocks", "parse",
+             "symbol_at"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "config"}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -14,40 +14,10 @@ import argparse
 import os
 import sys
 
+import motzkinrow as lib
+
 from . import config
-from .blockops import add, decompose_sum, sub
 from .errors import ConfigError, MotzkinError
-from .nav import (
-    control_points,
-    insert_pair,
-    merge_adjacent,
-    psi,
-    remove_pair,
-    shift_close,
-    shift_open,
-    split_block,
-    swap_across_zero,
-    xi,
-    zeta,
-)
-from .rowindex import (
-    compare,
-    predecessor,
-    range_max,
-    range_min,
-    rank,
-    successor,
-    unrank,
-)
-from .verify import (
-    _CHECKS,
-    _SEQUENCES,
-    audit,
-    regenerate_addendum,
-    report_lines,
-    report_text,
-    sequence,
-)
 
 _FROM_TRANSLIT = str.maketrans("olr", "0()")
 _TO_TRANSLIT = str.maketrans("0()", "olr")
@@ -92,16 +62,16 @@ def _word(ns, word):
 
 def _equation(ns, result):
     x, op, y, z = result
+    i, j, k = map(lib.rank, (x, y, z))
     if ns.format == "lines":
-        _emit(f"result={_encode(ns, z)} left={rank(x)} right={rank(y)} "
-              f"total={rank(z)}")
+        _emit(f"result={_encode(ns, z)} left={i} right={j} total={k}")
     else:
-        _emit(_encode(ns, z), f"indexes: {rank(x)} {op} {rank(y)} = {rank(z)}")
+        _emit(_encode(ns, z), f"indexes: {i} {op} {j} = {k}")
 
 
 def _decomposition(ns, result):
     parts, total = result
-    rows = [(_encode(ns, p), rank(p)) for p in parts]
+    rows = [(_encode(ns, p), lib.rank(p)) for p in parts]
     if ns.format == "lines":
         _emit(*(f"part={w} index={i}" for w, i in rows), f"total={total}")
     else:
@@ -114,8 +84,8 @@ def _delta(ns, rep):
               f"predicted={rep.predicted_delta} verified={rep.verified_delta} "
               f"site={','.join(map(str, rep.site))}")
     else:
-        _emit(f"before:    {_encode(ns, rep.before)}  index {rank(rep.before)}",
-              f"after:     {_encode(ns, rep.after)}  index {rank(rep.after)}",
+        _emit(f"before:    {_encode(ns, rep.before)}  index {lib.rank(rep.before)}",
+              f"after:     {_encode(ns, rep.after)}  index {lib.rank(rep.after)}",
               f"predicted: {rep.predicted_delta:+d}",
               f"verified:  {rep.verified_delta:+d}",
               f"site:      positions {', '.join(map(str, rep.site))}")
@@ -140,7 +110,8 @@ def _sequence(ns, values):
 
 
 def _audit(ns, rep):
-    _emit(report_lines(rep) if ns.format == "lines" else report_text(rep))
+    _emit(lib.report_lines(rep) if ns.format == "lines"
+          else lib.report_text(rep))
     return 3 if rep.counterexamples else 0
 
 
@@ -152,77 +123,107 @@ def _text(ns, text):
 #
 # (name, help, library call, output shape, arguments).  An argument given
 # by name alone is a word, read through --translit; the others are (name or
-# flag, argparse keywords).  The call gets the arguments in this order.
+# flag, argparse keywords or a function returning them, called when the
+# arguments are added).  The call gets the arguments in this order.  Calls
+# reach the library through the package, which imports a module on first
+# use, so a verb loads only the modules it calls.
 
 
 def _int(name, help_text=None, **kw):
     return name, {"type": int, "help": help_text, **kw}
 
 
+def _call(name):
+    return lambda *args: getattr(lib, name)(*args)
+
+
 _VERBS = [
-    ("rank", "index of a word", rank, _value, ["word"]),
-    ("unrank", "word at an index", unrank, _word, [_int("index")]),
-    ("next", "successor word", successor, _word, ["word"]),
-    ("prev", "predecessor word", predecessor, _word, ["word"]),
+    ("rank", "index of a word", _call("rank"), _value, ["word"]),
+    ("unrank", "word at an index", _call("unrank"), _word, [_int("index")]),
+    ("next", "successor word", _call("successor"), _word, ["word"]),
+    ("prev", "predecessor word", _call("predecessor"), _word, ["word"]),
     ("cmp", "order two words",
-     lambda x, y: ("less", "equal", "greater")[compare(x, y) + 1], _value,
+     lambda x, y: ("less", "equal", "greater")[lib.compare(x, y) + 1], _value,
      ["left", "right"]),
     ("add", "overlay two noncrossing words",
-     lambda x, y: (x, "+", y, add(x, y)), _equation, ["left", "right"]),
+     lambda x, y: (x, "+", y, lib.add(x, y)), _equation, ["left", "right"]),
     ("sub", "erase an included word's blocks",
-     lambda x, y: (x, "-", y, sub(x, y)), _equation, ["left", "right"]),
-    ("decompose", "extended blocks and their index sum", decompose_sum,
-     _decomposition, ["word"]),
+     lambda x, y: (x, "-", y, lib.sub(x, y)), _equation, ["left", "right"]),
+    ("decompose", "extended blocks and their index sum",
+     _call("decompose_sum"), _decomposition, ["word"]),
     ("shift-open", "drift an outer block's opening bracket across zeros",
-     shift_open, _delta,
+     _call("shift_open"), _delta,
      ["word", _int("position"),
       _int("offset", "positions to move: positive = left, negative = right")]),
     ("shift-close", "swap an outer block's closing bracket with the adjacent "
-     "zero", shift_close, _delta,
+     "zero", _call("shift_close"), _delta,
      ["word", _int("position"),
       ("direction", {"choices": ("left", "right")})]),
     ("remove-pair", "erase the touching brackets of two neighboring blocks",
-     remove_pair, _delta,
+     _call("remove_pair"), _delta,
      ["word", _int("open_pos", "opening bracket position (k)"),
       _int("close_pos", "closing bracket position (l > k)")]),
     ("insert-pair", "split a block by writing a bracket pair into its zero "
-     "zone", insert_pair, _delta,
+     "zone", _call("insert_pair"), _delta,
      ["word", _int("open_pos", "new opening bracket position (k)"),
       _int("close_pos", "new closing bracket position (l > k)")]),
-    ("merge", "merge two touching blocks", merge_adjacent, _delta,
+    ("merge", "merge two touching blocks", _call("merge_adjacent"), _delta,
      ["word", _int("position", "opening bracket of the right block")]),
-    ("split", "split a block at an inner adjacent pair", split_block, _delta,
+    ("split", "split a block at an inner adjacent pair",
+     _call("split_block"), _delta,
      ["word", _int("position", "closing symbol of the inner pair")]),
-    ("swap", "fuse two blocks separated by a single zero", swap_across_zero,
-     _delta, ["word", _int("position", "opening bracket of the right block")]),
-    ("xi", "close-bracket drift delta at position k", xi, _value, [_int("k")]),
-    ("zeta", "bracket-pair removal delta at positions k, l", zeta, _value,
-     [_int("k"), _int("l")]),
+    ("swap", "fuse two blocks separated by a single zero",
+     _call("swap_across_zero"), _delta,
+     ["word", _int("position", "opening bracket of the right block")]),
+    ("xi", "close-bracket drift delta at position k", _call("xi"), _value,
+     [_int("k")]),
+    ("zeta", "bracket-pair removal delta at positions k, l", _call("zeta"),
+     _value, [_int("k"), _int("l")]),
     ("psi", "zero-gap swap delta at position k, "
-     "M[k-1] + T(k-1,1) + T(k,1) + T(k,3)", psi, _value, [_int("k")]),
+     "M[k-1] + T(k-1,1) + T(k,1) + T(k,3)", _call("psi"), _value, [_int("k")]),
     ("range", "smallest and largest word of a length",
-     lambda n: [("min", *range_min(n)), ("max", *range_max(n))],
+     lambda n: [("min", *lib.range_min(n)), ("max", *lib.range_max(n))],
      _listing("{name}: {word}  index {index}", "{name}={word} index={index}"),
      [_int("length")]),
-    ("control-points", "the seven landmark words of a range", control_points,
+    ("control-points", "the seven landmark words of a range",
+     _call("control_points"),
      _listing("{name:<18} {word}  index {index}",
               "name={name} word={word} index={index}"),
      [_int("length")]),
-    ("seq", "regenerate a named integer sequence", sequence, _sequence,
-     [("name", {"choices": _SEQUENCES}), _int("count")]),
+    ("seq", "regenerate a named integer sequence", _call("sequence"),
+     _sequence,
+     [("name", lambda: {"choices": lib.verify._SEQUENCES}), _int("count")]),
     ("audit", "run an exhaustive check, exit 3 on counterexample",
-     lambda check, scope, workers: audit(
+     lambda check, scope, workers: lib.audit(
          check, config.audit_scope() if scope is None else scope, workers),
      _audit,
-     [("check", {"choices": _CHECKS}),
+     [("check", lambda: {"choices": lib.verify._CHECKS}),
       _int("--max-range", "largest range to sweep (default "
            f"$MOTZKINROW_AUDIT_SCOPE, else {config.DEFAULT_AUDIT_SCOPE})"),
       _int("--workers", "parallel worker processes for range sweeps",
            default=1)]),
-    ("addendum", "emit the corrected row listing", regenerate_addendum, _text,
+    ("addendum", "emit the corrected row listing",
+     _call("regenerate_addendum"), _text,
      [_int("--max-range", "largest range to list (default %(default)s)",
            default=9)]),
 ]
+
+
+class _VerbParser(argparse.ArgumentParser):
+    """One verb's parser.  Its arguments are added when argparse
+    dispatches to the verb, so a run reads only its own verb's choices."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        dests = []
+        for arg in self.verb_args:
+            is_word = isinstance(arg, str)
+            flag, kw = (arg, {}) if is_word else arg
+            kw = kw() if callable(kw) else kw
+            dests.append((self.add_argument(flag, **kw).dest, is_word))
+        self.verb_args = ()
+        if dests:
+            self.set_defaults(dests=dests)
+        return super().parse_known_args(args, namespace)
 
 
 def build_parser():
@@ -237,15 +238,12 @@ def build_parser():
                         help="plain text or machine-readable key=value lines")
     parser.add_argument("--translit", action="store_true",
                         help="read and write words as o/l/r instead of 0/(/)")
-    verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb")
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="verb",
+                                  parser_class=_VerbParser)
     for name, help_text, call, show, args in _VERBS:
         p = verbs.add_parser(name, help=help_text)
-        dests = []
-        for arg in args:
-            is_word = isinstance(arg, str)
-            flag, kw = (arg, {}) if is_word else arg
-            dests.append((p.add_argument(flag, **kw).dest, is_word))
-        p.set_defaults(call=call, show=show, dests=dests)
+        p.verb_args = args
+        p.set_defaults(call=call, show=show)
     return parser
 
 

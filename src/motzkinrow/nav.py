@@ -34,8 +34,6 @@ already within the length limit.  The audits run the cores, report-free.
 All positions are 1-based from the right end of the word.
 """
 
-from dataclasses import dataclass
-
 from .bigcomb import completion_columns, motzkin
 from .errors import (
     ArgumentError,
@@ -46,11 +44,11 @@ from .errors import (
     WordError,
 )
 from .rowindex import rank
-from .word import MotzkinWord, _at, _depth_left, _scan, as_word, check_length
+from .word import (MotzkinWord, _Value, _at, _depth_left, _scan, as_word,
+                   check_length)
 
 
-@dataclass(frozen=True, slots=True)
-class DeltaReport:
+class DeltaReport(_Value):
     """Outcome of one navigation step.
 
     ``predicted_delta`` is the index polynomial value, ``verified_delta``
@@ -58,11 +56,29 @@ class DeltaReport:
     those positions, leftmost first.
     """
 
-    before: MotzkinWord
-    after: MotzkinWord
-    predicted_delta: int
-    verified_delta: int
-    site: tuple[int, ...]
+    __slots__ = ("before", "after", "predicted_delta", "verified_delta", "site")
+
+    def __init__(self, before: MotzkinWord, after: MotzkinWord,
+                 predicted_delta: int, verified_delta: int,
+                 site: tuple[int, ...]):
+        set_ = object.__setattr__
+        set_(self, "before", before)
+        set_(self, "after", after)
+        set_(self, "predicted_delta", predicted_delta)
+        set_(self, "verified_delta", verified_delta)
+        set_(self, "site", site)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.before, self.after, self.predicted_delta,
+                 self.verified_delta, self.site)
+                == (other.before, other.after, other.predicted_delta,
+                    other.verified_delta, other.site))
+
+    def __hash__(self):
+        return hash((self.before, self.after, self.predicted_delta,
+                     self.verified_delta, self.site))
 
     @property
     def agrees(self) -> bool:

@@ -113,6 +113,7 @@ def successor(w) -> MotzkinWord:
     all-zero block that opens the next range."""
     w = as_word(w)
     if w.is_zero:
+        check_length(2)
         return MotzkinWord._trusted("()")
     text = w.text
     n = len(text)

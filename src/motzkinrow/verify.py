@@ -21,7 +21,6 @@ change the report.
 
 import os
 import re
-from dataclasses import dataclass
 from functools import partial
 
 from . import config, nav
@@ -38,6 +37,7 @@ from .nav import control_points, psi, xi, zeta
 from .rowindex import compare, rank, unrank
 from .word import (
     MotzkinWord,
+    _Value,
     _depth_left,
     check_length,
     decompose,
@@ -114,21 +114,42 @@ def sequence(name: str, count: int) -> list[int]:
     return maker(count)
 
 
-@dataclass(frozen=True, slots=True)
-class Counterexample:
-    word: str
-    site: str
-    predicted: int | None
-    verified: int | None
+class Counterexample(_Value):
+    __slots__ = ("word", "site", "predicted", "verified")
+
+    def __init__(self, word: str, site: str, predicted: int | None,
+                 verified: int | None):
+        self.__setstate__((word, site, predicted, verified))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.word, self.site, self.predicted, self.verified)
+                == (other.word, other.site, other.predicted, other.verified))
+
+    def __hash__(self):
+        return hash((self.word, self.site, self.predicted, self.verified))
 
 
-@dataclass(frozen=True, slots=True)
-class AuditReport:
-    check_name: str
-    scope: int
-    outcome: str  # "pass" | "fail" | "conjecture-holds"
-    counterexamples: tuple[Counterexample, ...]
-    counts: int
+class AuditReport(_Value):
+    __slots__ = ("check_name", "scope", "outcome", "counterexamples", "counts")
+
+    def __init__(self, check_name: str, scope: int,
+                 outcome: str,  # "pass" | "fail" | "conjecture-holds"
+                 counterexamples: tuple[Counterexample, ...], counts: int):
+        self.__setstate__((check_name, scope, outcome, counterexamples, counts))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.check_name, self.scope, self.outcome,
+                 self.counterexamples, self.counts)
+                == (other.check_name, other.scope, other.outcome,
+                    other.counterexamples, other.counts))
+
+    def __hash__(self):
+        return hash((self.check_name, self.scope, self.outcome,
+                     self.counterexamples, self.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +516,8 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
     units = list(range(first, max_scope + 1)) if unit == "range" else [max_scope]
     workers = min(workers, len(units), os.cpu_count() or 1)
     if workers > 1:
-        # imported here: the process pool machinery would otherwise cost
-        # every CLI start about a third of its import time
+        # imported here: only a run with more than one worker needs the
+        # process pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

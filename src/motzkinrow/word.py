@@ -20,7 +20,6 @@ where such a word may be longer than its input, the builder calls
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 from . import config
@@ -104,19 +103,56 @@ def _scan(text: str) -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class MotzkinWord:
+class _Value:
+    """Base of the value types: read-only ``__slots__`` fields, set with
+    ``object.__setattr__``, a field-wise repr, ``__match_args__`` and
+    pickling.  Each type writes its own ``__init__``, ``__eq__`` and
+    ``__hash__``: a generic loop over the fields is several times slower."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = cls.__slots__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __getstate__(self):
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setstate__(self, state):
+        for f, value in zip(self.__slots__, state):
+            object.__setattr__(self, f, value)
+
+
+class MotzkinWord(_Value):
     """A canonical Motzkin word (no leading zero, except the word "0")."""
 
-    text: str
+    __slots__ = ("text",)
 
-    def __post_init__(self):
-        _validate_structure(self.text)
-        if self.text[0] == "0" and self.text != "0":
+    def __init__(self, text: str):
+        _validate_structure(text)
+        if text[0] == "0" and text != "0":
             raise NotCanonicalError(
-                f"{self.text!r} starts with a zero; parse() turns leading "
+                f"{text!r} starts with a zero; parse() turns leading "
                 "zeros into padding"
             )
+        object.__setattr__(self, "text", text)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.text == other.text
+
+    def __hash__(self):
+        return hash((self.text,))
 
     @classmethod
     def _trusted(cls, text: str) -> "MotzkinWord":
@@ -157,20 +193,28 @@ class MotzkinWord:
         return self.sort_key >= other.sort_key
 
 
-@dataclass(frozen=True, slots=True)
-class PaddedWord:
+class PaddedWord(_Value):
     """A canonical word plus an explicit count of leading zeros.
 
     Padding never changes the word's identity or the positions of its
     symbols; it only matters when text is laid out column by column.
     """
 
-    core: MotzkinWord
-    left_padding: int
+    __slots__ = ("core", "left_padding")
 
-    def __post_init__(self):
-        if self.left_padding < 0:
+    def __init__(self, core: MotzkinWord, left_padding: int):
+        if left_padding < 0:
             raise ArgumentError("left_padding must be nonnegative")
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "left_padding", left_padding)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.core, self.left_padding) == (other.core, other.left_padding)
+
+    def __hash__(self):
+        return hash((self.core, self.left_padding))
 
     @property
     def text(self) -> str:
@@ -186,19 +230,27 @@ class PaddedWord:
         return self.core.symbol_at(k)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockSpan:
+class BlockSpan(_Value):
     """Positions of one outer block's brackets; open_pos > close_pos."""
 
-    open_pos: int
-    close_pos: int
+    __slots__ = ("open_pos", "close_pos")
 
-    def __post_init__(self):
-        if not self.open_pos > self.close_pos >= 1:
+    def __init__(self, open_pos: int, close_pos: int):
+        if not open_pos > close_pos >= 1:
             raise SpanError(
                 f"span needs open_pos > close_pos >= 1, got "
-                f"({self.open_pos}, {self.close_pos})"
+                f"({open_pos}, {close_pos})"
             )
+        object.__setattr__(self, "open_pos", open_pos)
+        object.__setattr__(self, "close_pos", close_pos)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.open_pos, self.close_pos) == (other.open_pos, other.close_pos)
+
+    def __hash__(self):
+        return hash((self.open_pos, self.close_pos))
 
     def covers(self, pos: int) -> bool:
         return self.close_pos <= pos <= self.open_pos
@@ -240,7 +292,7 @@ def outer_blocks(w) -> list[BlockSpan]:
     spans = []
     depth = 0
     open_pos = 0
-    # a valid word's scan yields only valid spans: skip __post_init__
+    # a valid word's scan yields only valid spans: skip the check in __init__
     new, set_ = object.__new__, object.__setattr__
     for i, ch in enumerate(w.text):
         if ch == "(":

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import motzkinrow
 from motzkinrow import AuditReport, Counterexample, motzkin
 from motzkinrow import cli
 
@@ -208,7 +209,8 @@ def test_audit_counterexample_exit(capsys, monkeypatch):
         return AuditReport(check, scope, "fail",
                            (Counterexample("(00)", "merge k=2", -2, -3),), 1)
 
-    monkeypatch.setattr(cli, "audit", fake_audit)
+    # the CLI reaches the library through the package
+    monkeypatch.setattr(motzkinrow, "audit", fake_audit)
     code, out, _ = run_cli(capsys, "audit", "conjecture_4_3")
     assert code == 3
     assert "outcome: fail" in out
@@ -280,6 +282,13 @@ def test_control_points_past_the_length_limit_is_a_domain_error(capsys,
                                                                monkeypatch):
     monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "8")
     code, out, err = run_cli(capsys, "control-points", "9")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_next_past_the_length_limit_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "1")
+    code, out, err = run_cli(capsys, "next", "0")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 

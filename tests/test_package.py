@@ -1,0 +1,67 @@
+"""What the package loads: the CLI imports only the modules a verb calls,
+and the package surface resolves its names on first use."""
+
+import subprocess
+import sys
+
+import pytest
+
+import motzkinrow
+
+# run one CLI call in a fresh interpreter; its loaded modules go to stderr
+_CALL = ("import sys\n"
+         "from motzkinrow.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print(*sorted(sys.modules), sep='\\n', file=sys.stderr)\n"
+         "sys.exit(code)\n")
+
+
+def loaded_modules(*argv):
+    proc = subprocess.run([sys.executable, "-c", _CALL, *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+# every verb reads words or ranks them
+_BASE = {"motzkinrow", *(f"motzkinrow.{m}" for m in (
+    "cli", "config", "errors", "bigcomb", "word", "rowindex"))}
+
+
+@pytest.mark.parametrize("argv, added", [
+    (("rank", "()"), ()),
+    (("merge", "(0)()()", "2"), ("nav",)),
+    (("add", "()0000(0)", "(0)0000"), ("blockops",)),
+    (("audit", "paper_examples"), ("nav", "blockops", "verify")),
+])
+def test_a_verb_loads_only_the_modules_it_calls(argv, added):
+    modules = loaded_modules(*argv)
+    assert {m for m in modules if m.split(".")[0] == "motzkinrow"} == (
+        _BASE | {f"motzkinrow.{m}" for m in added})
+    assert not {"dataclasses", "inspect"} & modules
+
+
+def test_star_import_binds_exactly_all():
+    names = {}
+    exec("from motzkinrow import *", names)
+    del names["__builtins__"]
+    assert sorted(names) == motzkinrow.__all__
+    assert set(dir(motzkinrow)) >= set(motzkinrow.__all__)
+
+
+def test_submodules_resolve_as_attributes():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import motzkinrow\n"
+         "print(motzkinrow.verify.__name__)\n"
+         "from motzkinrow import config\n"
+         "print(config.__name__)\n"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["motzkinrow.verify", "motzkinrow.config"]
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        motzkinrow.nosuch
+    assert not hasattr(motzkinrow, "__wrapped__")

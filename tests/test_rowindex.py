@@ -149,6 +149,13 @@ def test_range_ends_and_rollover_keep_to_the_word_length_limit(monkeypatch):
             "word length 9 exceeds the configured maximum 8")
 
 
+def test_successor_of_zero_keeps_to_the_word_length_limit(monkeypatch):
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "1")
+    with pytest.raises(LimitError,
+                       match="word length 2 exceeds the configured maximum 1"):
+        successor("0")
+
+
 def test_padded_inputs_are_coerced():
     assert successor("00()").text == "(0)"
     assert predecessor(parse("000(0)")).text == "()"
