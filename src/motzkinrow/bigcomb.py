@@ -37,7 +37,8 @@ _columns = [[1, 1]]
 
 def motzkin(n):
     """Return the n-th Motzkin number: column 0 of the table, grown by
-    ``completion_columns`` when it does not reach n yet."""
+    ``completion_columns`` when it does not reach n yet.  It does not keep
+    to the word-length limit; callers that take n from a user check it."""
     if n < 0:
         raise ArgumentError(f"Motzkin numbers are indexed from 0, got {n}")
     ms = _columns[0]
@@ -115,7 +116,8 @@ def completions(m, d):
     ``motzkin(n)``, and a start deeper than m leaves no completion.
 
     The count is read from ``completion_columns(d, m)``: column d of the
-    table, grown past its length under the module lock when needed.
+    table, grown past its length under the module lock when needed.  Like
+    ``motzkin``, it does not keep to the word-length limit.
     """
     if m < 0 or d < 0:
         raise ArgumentError(f"completions needs m, d >= 0, got ({m}, {d})")

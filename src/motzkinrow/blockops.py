@@ -51,14 +51,14 @@ def includes(x, y) -> bool:
     and with identical content, among the extended blocks of x."""
     x = as_word(x)
     y = as_word(y)
-    if y.is_zero:
-        return True
-    spans_x = set(outer_blocks(x))
     nx, ny = len(x), len(y)
+    spans_x = iter(outer_blocks(x))
     for b in outer_blocks(y):
-        if b not in spans_x:
-            return False
-        if (x.text[nx - b.open_pos : nx - b.close_pos + 1]
+        # both span lists run left to right: pass x's blocks that open
+        # left of b, then the next one must be b, with b's text
+        a = next((a for a in spans_x if a.open_pos <= b.open_pos), None)
+        if (a is None or (a.open_pos, a.close_pos) != (b.open_pos, b.close_pos)
+                or x.text[nx - b.open_pos : nx - b.close_pos + 1]
                 != y.text[ny - b.open_pos : ny - b.close_pos + 1]):
             return False
     return True

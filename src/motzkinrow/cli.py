@@ -248,6 +248,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    # indexes, both read and printed, may pass CPython's 4300-digit limit
+    # on int <-> str conversion; the word-length limit bounds them instead
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     ns = build_parser().parse_args(argv)
     args = [_decode(ns, getattr(ns, dest)) if is_word else getattr(ns, dest)
             for dest, is_word in ns.dests]

@@ -26,10 +26,11 @@ conjectured and the zero-gap swap's site independence is only audited, so
 there a mismatch is data for the caller, not an error.
 
 Each public move runs ``as_word``, then its core (its name with a leading
-underscore), then ``_report``.  The core runs the site checks and the
-rewrite and returns (after, predicted, site), reading xi, zeta and psi
-through the guard-free ``_xi``, ``_zeta`` and ``_psi``: a host word is
-already within the length limit.  The audits run the cores, report-free.
+underscore; merge_adjacent and swap_across_zero share ``_fuse``), then
+``_report``.  The core runs the site checks and the rewrite and returns
+(after, predicted, site), reading xi, zeta and psi through the guard-free
+``_xi``, ``_zeta`` and ``_psi``: a host word is already within the length
+limit.  The audits run the cores, report-free.
 
 All positions are 1-based from the right end of the word.
 """
@@ -67,18 +68,6 @@ class DeltaReport(_Value):
         set_(self, "predicted_delta", predicted_delta)
         set_(self, "verified_delta", verified_delta)
         set_(self, "site", site)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.before, self.after, self.predicted_delta,
-                 self.verified_delta, self.site)
-                == (other.before, other.after, other.predicted_delta,
-                    other.verified_delta, other.site))
-
-    def __hash__(self):
-        return hash((self.before, self.after, self.predicted_delta,
-                     self.verified_delta, self.site))
 
     @property
     def agrees(self) -> bool:
@@ -327,13 +316,7 @@ def merge_adjacent(w, k: int) -> DeltaReport:
     verified delta is the authority; callers can compare the two.
     """
     w = as_word(w)
-    return _report(w, *_merge_adjacent(w, k), proven=False)
-
-
-def _merge_adjacent(w, k):
-    _check_outer_bracket(w, k + 1, "close")
-    _check_outer_bracket(w, k, "open")
-    return _rewrite(w, k + 1, "(", k, ")"), -motzkin(k), (k + 1, k)
+    return _report(w, *_fuse(w, k, 0), proven=False)
 
 
 def split_block(w, k: int) -> DeltaReport:
@@ -369,15 +352,21 @@ def swap_across_zero(w, k: int) -> DeltaReport:
     raised.
     """
     w = as_word(w)
-    return _report(w, *_swap_across_zero(w, k), proven=False)
+    return _report(w, *_fuse(w, k, 1), proven=False)
 
 
-def _swap_across_zero(w, k):
-    _check_outer_bracket(w, k + 2, "close")
-    if _at(w.text, k + 1) != "0":
+def _fuse(w, k, gap):
+    """Core of merge_adjacent (gap 0) and swap_across_zero (gap 1): swap
+    the close bracket at k+1+gap, gap zeros left of the open one at k."""
+    p = k + 1 + gap
+    _check_outer_bracket(w, p, "close")
+    if gap and _at(w.text, k + 1) != "0":
         raise SiteError(f"position {k + 1} of {w.text!r} is not a zero")
     _check_outer_bracket(w, k, "open")
-    return _rewrite(w, k + 2, "(", k, ")"), -_psi(k), (k + 2, k + 1, k)
+    after = _rewrite(w, p, "(", k, ")")
+    if gap:
+        return after, -_psi(k), (p, k + 1, k)
+    return after, -motzkin(k), (p, k)
 
 
 # psi enters the nested_block polynomial because that landmark is reached

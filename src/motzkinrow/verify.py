@@ -101,7 +101,8 @@ _SEQUENCES = {
 
 def sequence(name: str, count: int) -> list[int]:
     """First `count` terms of a named sequence, from its natural start
-    (motzkin from 0, unique and xi from 1, zeta_adjacent and psi from 2)."""
+    (motzkin from 0, unique and xi from 1, zeta_adjacent and psi from 2).
+    A term that counts words past the length limit raises LimitError."""
     if count < 1:
         raise ArgumentError(f"count must be positive, got {count}")
     try:
@@ -111,6 +112,8 @@ def sequence(name: str, count: int) -> list[int]:
             f"unknown sequence {name!r}; expected one of "
             f"{sorted(_SEQUENCES)}"
         ) from None
+    if name in ("motzkin", "unique"):  # xi, zeta and psi check each term
+        check_length(count - 1 if name == "motzkin" else count)
     return maker(count)
 
 
@@ -121,15 +124,6 @@ class Counterexample(_Value):
                  verified: int | None):
         self.__setstate__((word, site, predicted, verified))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.word, self.site, self.predicted, self.verified)
-                == (other.word, other.site, other.predicted, other.verified))
-
-    def __hash__(self):
-        return hash((self.word, self.site, self.predicted, self.verified))
-
 
 class AuditReport(_Value):
     __slots__ = ("check_name", "scope", "outcome", "counterexamples", "counts")
@@ -138,18 +132,6 @@ class AuditReport(_Value):
                  outcome: str,  # "pass" | "fail" | "conjecture-holds"
                  counterexamples: tuple[Counterexample, ...], counts: int):
         self.__setstate__((check_name, scope, outcome, counterexamples, counts))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.check_name, self.scope, self.outcome,
-                 self.counterexamples, self.counts)
-                == (other.check_name, other.scope, other.outcome,
-                    other.counterexamples, other.counts))
-
-    def __hash__(self):
-        return hash((self.check_name, self.scope, self.outcome,
-                     self.counterexamples, self.counts))
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +220,8 @@ def _pair_sites(w, i, index):
     blocks = outer_blocks(w)
     for left, right in zip(blocks, blocks[1:]):
         l, k = left.close_pos, right.open_pos
-        if k >= 2:
-            yield _nav_site(index, i, f"remove ({k},{l})", nav._remove_pair,
-                            w, k, l)
+        yield _nav_site(index, i, f"remove ({k},{l})", nav._remove_pair,
+                        w, k, l)
     # every pair inside a maximal zero run at depth 1, run spanning high..low
     for run in re.finditer("0+", w.text):
         high, low = len(w) - run.start(), len(w) - run.end() + 1
@@ -251,19 +232,18 @@ def _pair_sites(w, i, index):
                                     nav._insert_pair, w, k, l)
 
 
-def _block_pair_sites(gap, label, core, w, i, index):
-    """Apply a move core at every pair of neighboring outer blocks whose
-    touching brackets sit gap positions apart (1: merge, 2: zero-gap
-    swap)."""
+def _block_pair_sites(gap, label, w, i, index):
+    """Fuse every pair of neighboring outer blocks whose touching brackets
+    have gap zeros between them (0: merge, 1: zero-gap swap)."""
     blocks = outer_blocks(w)
     for left, right in zip(blocks, blocks[1:]):
-        if left.close_pos == right.open_pos + gap:
+        if left.close_pos == right.open_pos + 1 + gap:
             k = right.open_pos
-            yield _nav_site(index, i, f"{label} k={k}", core, w, k)
+            yield _nav_site(index, i, f"{label} k={k}", nav._fuse, w, k, gap)
 
 
-_merge_sites = partial(_block_pair_sites, 1, "merge", nav._merge_adjacent)
-_swap_sites = partial(_block_pair_sites, 2, "swap", nav._swap_across_zero)
+_merge_sites = partial(_block_pair_sites, 0, "merge")
+_swap_sites = partial(_block_pair_sites, 1, "swap")
 
 
 def _run_order_agreement(scope):

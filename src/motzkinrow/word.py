@@ -21,6 +21,7 @@ where such a word may be longer than its input, the builder calls
 from __future__ import annotations
 
 from enum import IntEnum
+from operator import attrgetter
 
 from . import config
 from .errors import (
@@ -105,14 +106,24 @@ def _scan(text: str) -> None:
 
 class _Value:
     """Base of the value types: read-only ``__slots__`` fields, set with
-    ``object.__setattr__``, a field-wise repr, ``__match_args__`` and
-    pickling.  Each type writes its own ``__init__``, ``__eq__`` and
-    ``__hash__``: a generic loop over the fields is several times slower."""
+    ``object.__setattr__``, a field-wise repr, ``__match_args__``, pickling,
+    and equality and hashing by field through ``_fields``, one C-level
+    ``attrgetter`` per class.  Each type writes its own ``__init__``, since
+    the types check different things."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == self._fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -145,14 +156,6 @@ class MotzkinWord(_Value):
                 "zeros into padding"
             )
         object.__setattr__(self, "text", text)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.text == other.text
-
-    def __hash__(self):
-        return hash((self.text,))
 
     @classmethod
     def _trusted(cls, text: str) -> "MotzkinWord":
@@ -208,14 +211,6 @@ class PaddedWord(_Value):
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "left_padding", left_padding)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.core, self.left_padding) == (other.core, other.left_padding)
-
-    def __hash__(self):
-        return hash((self.core, self.left_padding))
-
     @property
     def text(self) -> str:
         return "0" * self.left_padding + self.core.text
@@ -243,14 +238,6 @@ class BlockSpan(_Value):
             )
         object.__setattr__(self, "open_pos", open_pos)
         object.__setattr__(self, "close_pos", close_pos)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.open_pos, self.close_pos) == (other.open_pos, other.close_pos)
-
-    def __hash__(self):
-        return hash((self.open_pos, self.close_pos))
 
     def covers(self, pos: int) -> bool:
         return self.close_pos <= pos <= self.open_pos

@@ -6,6 +6,7 @@ from motzkinrow import (
     MotzkinWord,
     ZeroWordError,
     add,
+    decompose,
     decompose_sum,
     includes,
     noncrossing,
@@ -120,6 +121,24 @@ def test_includes_examples():
     assert not includes("(())0", "(0)00")
     for w in ("0", "(0)", "()()"):
         assert includes(w, "0")
+
+
+def _extended_blocks(w):
+    return set() if w.is_zero else set(decompose(w))
+
+
+def test_includes_agrees_with_a_set_of_extended_blocks(row_through):
+    # the reference reads the definition: y's extended blocks are a subset
+    # of x's, as sets of words
+    words = row_through(7)
+    blocks = {w: _extended_blocks(w) for w in words}
+    for x in words:
+        for y in words:
+            assert includes(x, y) == (blocks[y] <= blocks[x]), (x, y)
+    # a y longer than x: a block past x's left end is never included
+    assert not includes("(0)", "()(0)")
+    assert not includes("()", "(0)00")
+    assert includes("()(0)", "(0)")
 
 
 def test_sub_examples():

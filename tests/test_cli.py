@@ -1,4 +1,6 @@
+import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -297,6 +299,60 @@ def test_xi_past_the_length_limit_is_a_domain_error(capsys):
     code, out, err = run_cli(capsys, "xi", "5000")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _cap_memory():
+    # 1 GB of address space: a table that grows without bound fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _fresh_cli(*argv, max_word_len=None):
+    """Run the CLI in a fresh, memory-capped process: (exit code, stdout,
+    stderr)."""
+    env = dict(os.environ)
+    env.pop("MOTZKINROW_MAX_WORD_LEN", None)
+    if max_word_len is not None:
+        env["MOTZKINROW_MAX_WORD_LEN"] = str(max_word_len)
+    proc = subprocess.run([sys.executable, "-m", "motzkinrow", *argv],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=_cap_memory)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _one_error_line(err):
+    return (err.startswith("error: ") and len(err.splitlines()) == 1
+            and "Traceback" not in err)
+
+
+def test_seq_motzkin_past_the_length_limit_is_a_domain_error():
+    # its last term would count words of length 2999999: the count is
+    # refused before the table grows
+    code, out, err = _fresh_cli("seq", "motzkin", "3000000")
+    assert (code, out) == (1, "")
+    assert _one_error_line(err) and "exceeds the configured maximum" in err
+
+
+def test_indexes_past_4300_digits_are_read_and_printed():
+    # M[10000] has 4766 digits, past CPython's default limit on int <-> str
+    # conversion, which the CLI lifts; the word-length limit bounds indexes
+    m = [1, 1]
+    for n in range(2, 10001):
+        m = [m[1], ((2 * n + 1) * m[1] + 3 * (n - 1) * m[0]) // (n + 2)]
+    code, out, err = _fresh_cli("rank", "()" * 5000, max_word_len=20000)
+    assert (code, err) == (0, "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert out == f"{m[1] - 1}\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    # a 5000-digit index is too large for the default limit: a domain
+    # error, as for a shorter index that is too large, not a usage error
+    code, out, err = _fresh_cli("unrank", "9" * 5000)
+    assert (code, out) == (1, "")
+    assert _one_error_line(err) and "needs a word longer" in err
 
 
 def test_bad_environment_value_spares_verbs_that_do_not_read_it(capsys,

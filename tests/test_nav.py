@@ -562,9 +562,12 @@ def _move_reports(monkeypatch, words, per_family=None):
     count = {}
 
     def keep(index, i, site, core, *args):
-        # the probe names the move's core, "_" + the public move's name;
-        # the report is built through the public move
+        # the probe names the move's core, "_" + the public move's name, or
+        # _fuse with its gap (0 merges, 1 swaps across a zero); the report
+        # is built through the public move
         name = core.__name__[1:]
+        if name == "fuse":
+            name, args = ("merge_adjacent", "swap_across_zero")[args[2]], args[:2]
         if count.get(name, 0) != per_family:
             count[name] = count.get(name, 0) + 1
             move = getattr(nav, name)

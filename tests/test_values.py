@@ -15,6 +15,7 @@ from motzkinrow import (
     MotzkinWord,
     PaddedWord,
 )
+from motzkinrow.word import _Value
 
 _CX = Counterexample("(00)", "merge k=2", -2, -3)
 
@@ -101,3 +102,22 @@ def test_pickle_and_deepcopy_round_trips(make, other, foreign, text, fields):
         assert repr(twin) == text and hash(twin) == hash(value)
         with pytest.raises(AttributeError):
             setattr(twin, fields[0], None)
+
+
+class _Pair(_Value):
+    # a new value type writes only its __init__; equality, hashing and
+    # pickling by field come from the shared base
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.__setstate__((left, right))
+
+
+def test_a_new_value_type_compares_hashes_and_pickles_by_field():
+    a, b = _Pair(1, "x"), _Pair(1, "x")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != _Pair(1, "y") and a != _Pair(2, "x") and a != (1, "x")
+    assert len({a, b, _Pair(2, "x")}) == 2
+    twin = pickle.loads(pickle.dumps(a))
+    assert twin == a and hash(twin) == hash(a)
+    assert repr(twin) == "_Pair(left=1, right='x')"

@@ -106,6 +106,17 @@ def test_sequence_errors():
         sequence("xi", 0)
 
 
+def test_sequences_keep_to_the_word_length_limit(monkeypatch):
+    # the last motzkin term counts (count-1)-words, the last unique term
+    # count-words; one term more is past the limit
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "9")
+    assert sequence("motzkin", 10)[-1] == motzkin(9)
+    assert sequence("unique", 9)[-1] == motzkin(9) - motzkin(8)
+    for name, count in (("motzkin", 11), ("unique", 10)):
+        with pytest.raises(LimitError):
+            sequence(name, count)
+
+
 def test_audit_outcomes():
     rep = audit("theorem_2_4", 6)
     assert rep.outcome == "pass" and rep.counts == sum(
