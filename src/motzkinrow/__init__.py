@@ -30,18 +30,16 @@ _EXPORTS = {
     ),
     "nav": (
         "DeltaReport", "control_points", "insert_pair", "merge_adjacent",
-        "psi", "remove_pair", "shift_close", "shift_open", "split_block",
-        "swap_across_zero", "xi", "zeta",
+        "psi", "remove_pair", "sequence", "shift_close", "shift_open",
+        "split_block", "swap_across_zero", "xi", "zeta",
     ),
     "rowindex": ("compare", "predecessor", "range_max", "range_min", "rank",
                  "successor", "unrank"),
-    "verify": (
-        "AuditReport", "Counterexample", "audit", "enumerate_range",
-        "regenerate_addendum", "report_lines", "report_text", "sequence",
-    ),
+    "verify": ("AuditReport", "Counterexample", "audit", "report_lines",
+               "report_text"),
     "word": ("BlockSpan", "MotzkinWord", "PaddedWord", "Symbol", "as_word",
-             "decompose", "extended_block", "outer_blocks", "parse",
-             "symbol_at"),
+             "decompose", "enumerate_range", "extended_block", "outer_blocks",
+             "parse", "regenerate_addendum", "symbol_at"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = {*_EXPORTS, "config"}

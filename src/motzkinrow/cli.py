@@ -192,7 +192,7 @@ _VERBS = [
      [_int("length")]),
     ("seq", "regenerate a named integer sequence", _call("sequence"),
      _sequence,
-     [("name", lambda: {"choices": lib.verify._SEQUENCES}), _int("count")]),
+     [("name", lambda: {"choices": lib.nav._SEQUENCES}), _int("count")]),
     ("audit", "run an exhaustive check, exit 3 on counterexample",
      lambda check, scope, workers: lib.audit(
          check, config.audit_scope() if scope is None else scope, workers),

@@ -32,15 +32,19 @@ underscore; merge_adjacent and swap_across_zero share ``_fuse``), then
 ``_xi``, ``_zeta`` and ``_psi``: a host word is already within the length
 limit.  The audits run the cores, report-free.
 
+``sequence`` lists the first terms of xi, of zeta on adjacent positions
+and of psi, and the Motzkin and unique counts, for the ``seq`` verb.
+
 All positions are 1-based from the right end of the word.
 """
 
-from .bigcomb import completion_columns, motzkin
+from .bigcomb import completion_columns, motzkin, unique_count
 from .errors import (
     ArgumentError,
     BlockedError,
     PolynomialMismatchError,
     SiteError,
+    UnknownSequenceError,
     ValidityError,
     WordError,
 )
@@ -122,6 +126,31 @@ def psi(k: int) -> int:
 def _psi(k):
     return (motzkin(k + 3) - 3 * motzkin(k + 2) + 2 * motzkin(k + 1)
             + motzkin(k))
+
+
+_SEQUENCES = {
+    "motzkin": lambda count: [motzkin(n) for n in range(count)],
+    "unique": lambda count: [unique_count(n) for n in range(1, count + 1)],
+    "xi": lambda count: [xi(k) for k in range(1, count + 1)],
+    "zeta_adjacent": lambda count: [zeta(k, k + 1) for k in range(2, count + 2)],
+    "psi": lambda count: [psi(k) for k in range(2, count + 2)],
+}
+
+
+def sequence(name: str, count: int) -> list[int]:
+    """First `count` terms of a named sequence, from its natural start
+    (motzkin from 0, unique and xi from 1, zeta_adjacent and psi from 2).
+    A term that counts words past the length limit raises LimitError."""
+    if count < 1:
+        raise ArgumentError(f"count must be positive, got {count}")
+    if name not in _SEQUENCES:
+        raise UnknownSequenceError(
+            f"unknown sequence {name!r}; expected one of "
+            f"{sorted(_SEQUENCES)}"
+        )
+    if name in ("motzkin", "unique"):  # xi, zeta and psi check each term
+        check_length(count - 1 if name == "motzkin" else count)
+    return _SEQUENCES[name](count)
 
 
 def _check_outer_bracket(w: MotzkinWord, k: int, side: str) -> None:

@@ -80,10 +80,10 @@ def unrank(i: int) -> MotzkinWord:
     top = min(i.bit_length() + 1, config.max_word_length())
     ms = completion_columns(0, top)[0]
     n = bisect_right(ms, i, 1, top + 1)
-    if n > top:
-        raise LimitError(
-            f"index {i} needs a word longer than the configured maximum"
-        )
+    if n > top:  # then top is the limit
+        shown = i if i.bit_length() <= 64 else f"of {i.bit_length()} bits"
+        raise LimitError(f"index {shown} needs a word longer than the "
+                         f"configured maximum {top}")
     local = i - ms[n - 1]
     columns = completion_columns(2, n - 2)
     chars = ["("]

@@ -1,120 +1,42 @@
-"""Brute-force oracle and batch audits.
-
-The enumerator here is the package's independent ground truth: it builds
-every canonical word of a range by depth-tracked recursive generation in
-symbol order, which is row order, sharing no code with the
-completion-count arithmetic that rank and unrank use.  Agreement between
-the two is therefore evidence, not a tautology.
+"""Batch audits of the row arithmetic against the enumerator oracle.
 
 Audits run a named exhaustive check over bounded ranges and return a
 structured report.  Every per-word check is a probe: a generator that
 yields one (site, predicted, verified) triple per checked site, driven by
-one loop over the oracle's words, their positions and the range's
-{text: position} index.  The nav probes run the moves' report-free cores
-and take the verified delta from that index; only a shift_open that
-changes the word's length is checked against rank.  Checks backed by
-proofs are expected to pass; the conjectured ones (block merge deltas,
-zero-gap swap site-independence) report counterexamples as data instead
-of asserting, so a scope extension can never crash the harness, only
-change the report.
+one loop over the words of ``word.enumerate_range``, their positions and
+the range's {text: position} index.  The nav probes run the moves'
+report-free cores and take the verified delta from that index; only a
+shift_open that changes the word's length is checked against rank.
+Checks backed by proofs are expected to pass; the conjectured ones (block
+merge deltas, zero-gap swap site-independence) report counterexamples as
+data instead of asserting, so a scope extension can never crash the
+harness, only change the report.
 """
 
 import os
 import re
 from functools import partial
 
-from . import config, nav
-from .bigcomb import motzkin, unique_count
+from . import nav
+from .bigcomb import motzkin
 from .blockops import add, decompose_sum, sub
 from .errors import (
     ArgumentError,
     LimitError,
     PolynomialMismatchError,
     UnknownCheckError,
-    UnknownSequenceError,
 )
-from .nav import control_points, psi, xi, zeta
-from .rowindex import compare, rank, unrank
+from .nav import control_points
+from .rowindex import compare, range_min, rank, unrank
 from .word import (
-    MotzkinWord,
     _Value,
+    _check_range,
     _depth_left,
     check_length,
     decompose,
+    enumerate_range,
     outer_blocks,
 )
-
-
-def _check_range(n: int) -> None:
-    if n < 1:
-        raise ArgumentError(f"ranges are numbered from 1, got {n}")
-    if n > config.enum_range_limit():
-        raise LimitError(
-            f"range {n} exceeds the enumeration limit "
-            f"{config.enum_range_limit()}"
-        )
-
-
-def _grow(prefix, depth, remaining, found):
-    # Append every way to finish prefix at depth 0 in `remaining` symbols.
-    # Not a closure: one that calls itself is a cycle that would keep each
-    # returned list alive until the cyclic collector runs.
-    if remaining == 0:
-        found.append(MotzkinWord._trusted("".join(prefix)))
-        return
-    for ch, d2 in (("0", depth), ("(", depth + 1), (")", depth - 1)):
-        if 0 <= d2 <= remaining - 1:
-            prefix.append(ch)
-            _grow(prefix, d2, remaining - 1, found)
-            prefix.pop()
-
-
-def enumerate_range(n: int) -> list[MotzkinWord]:
-    """All canonical n-words in row order, by recursive generation.
-
-    Each position tries 0, ( and ) in symbol order, which is row order,
-    so the words come out ranked without a sort.  Serves as the oracle
-    for rank/unrank and never calls either.
-    """
-    _check_range(n)
-    check_length(n)
-    if n == 1:
-        return [MotzkinWord._trusted("0")]
-    found: list[MotzkinWord] = []
-    _grow(["("], 1, n - 1, found)
-    return found
-
-
-def _range_base(n: int) -> int:
-    # First index of the n-range.
-    return 0 if n == 1 else motzkin(n - 1)
-
-
-_SEQUENCES = {
-    "motzkin": lambda count: [motzkin(n) for n in range(count)],
-    "unique": lambda count: [unique_count(n) for n in range(1, count + 1)],
-    "xi": lambda count: [xi(k) for k in range(1, count + 1)],
-    "zeta_adjacent": lambda count: [zeta(k, k + 1) for k in range(2, count + 2)],
-    "psi": lambda count: [psi(k) for k in range(2, count + 2)],
-}
-
-
-def sequence(name: str, count: int) -> list[int]:
-    """First `count` terms of a named sequence, from its natural start
-    (motzkin from 0, unique and xi from 1, zeta_adjacent and psi from 2).
-    A term that counts words past the length limit raises LimitError."""
-    if count < 1:
-        raise ArgumentError(f"count must be positive, got {count}")
-    try:
-        maker = _SEQUENCES[name]
-    except KeyError:
-        raise UnknownSequenceError(
-            f"unknown sequence {name!r}; expected one of "
-            f"{sorted(_SEQUENCES)}"
-        ) from None
-    if name in ("motzkin", "unique"):  # xi, zeta and psi check each term
-        check_length(count - 1 if name == "motzkin" else count)
-    return maker(count)
 
 
 class Counterexample(_Value):
@@ -149,9 +71,9 @@ def _run_words(probe, n):
     differ is a counterexample."""
     count = 0
     bad = []
-    words = enumerate_range(n)
-    index = {w.text: i for i, w in enumerate(words, _range_base(n))}
-    for i, w in enumerate(words, _range_base(n)):
+    words, base = enumerate_range(n), range_min(n)[1]
+    index = {w.text: i for i, w in enumerate(words, base)}
+    for i, w in enumerate(words, base):
         for site, predicted, verified in probe(w, i, index):
             count += 1
             if predicted != verified:
@@ -200,8 +122,11 @@ def _open_sites(w, i, index):
         left, right = text[:-k], text[1 - k :].lstrip("0")
         run = len(left) - len(left.rstrip("0")) if left else 2
         for j in (*range(-1, len(right) - k, -1), *range(1, run + 1)):
-            yield _nav_site(index, i, f"open k={k} j={j:+d}",
-                            nav._shift_open, w, k, j)
+            try:
+                yield _nav_site(index, i, f"open k={k} j={j:+d}",
+                                nav._shift_open, w, k, j)
+            except LimitError:  # a leading drift past the length limit
+                break
 
 
 def _close_sites(w, i, index):
@@ -479,7 +404,8 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
     units and of CPUs; with more than one left, the units run in separate
     processes.  The merged counterexamples are sorted so the report is
     deterministic either way.  A scope below the check's first range and
-    fewer than one worker are ArgumentErrors.
+    fewer than one worker are ArgumentErrors; a scope past a limit that
+    the check's words reach is a LimitError, raised before any unit runs.
     """
     if check not in _CHECKS:
         raise UnknownCheckError(
@@ -493,6 +419,8 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
         )
     if workers < 1:
         raise ArgumentError(f"workers must be at least 1, got {workers}")
+    if check != "paper_examples":
+        (check_length if check == "table_1" else _check_range)(max_scope)
     units = list(range(first, max_scope + 1)) if unit == "range" else [max_scope]
     workers = min(workers, len(units), os.cpu_count() or 1)
     if workers > 1:
@@ -545,17 +473,3 @@ def report_lines(report: AuditReport) -> str:
         )
     return "\n".join(lines)
 
-
-def regenerate_addendum(max_range: int) -> str:
-    """Corrected listing of the row through max_range, nine words per
-    line, each line prefixed by the index of its first word."""
-    _check_range(max_range)
-    words = []
-    for n in range(1, max_range + 1):
-        words.extend(w.text for w in enumerate_range(n))
-    width = max(3, len(str(len(words) - 1)))
-    lines = []
-    for start in range(0, len(words), 9):
-        chunk = words[start : start + 9]
-        lines.append(f"{start:0{width}d}: " + ", ".join(chunk))
-    return "\n".join(lines) + "\n"

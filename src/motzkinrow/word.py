@@ -16,6 +16,12 @@ blocks, the enumerator, nav rewrites after their own bracket scan
 ``_scan``) skip that check through the private ``MotzkinWord._trusted``;
 where such a word may be longer than its input, the builder calls
 ``check_length`` first.  Position k of a text is ``text[-k]``.
+
+The enumerator here is the package's independent ground truth: it builds
+every canonical word of a range by depth-tracked recursive generation in
+symbol order, which is row order, and imports no counting table, so it
+shares no code with the arithmetic of rank and unrank.  Agreement between
+the two is therefore evidence, not a tautology.
 """
 
 from __future__ import annotations
@@ -324,3 +330,56 @@ def _depth_left(text: str, k: int) -> int:
     """Bracket depth strictly left of position k >= 1 of text."""
     head = text[:-k]
     return head.count("(") - head.count(")")
+
+
+def _check_range(n: int) -> None:
+    if n < 1:
+        raise ArgumentError(f"ranges are numbered from 1, got {n}")
+    limit = config.enum_range_limit()
+    if n > limit:
+        raise LimitError(f"range {n} exceeds the enumeration limit {limit}")
+    check_length(n)
+
+
+def _grow(prefix, depth, remaining, found):
+    # Append every way to finish prefix at depth 0 in `remaining` symbols.
+    # Not a closure: one that calls itself is a cycle that would keep each
+    # returned list alive until the cyclic collector runs.
+    if remaining == 0:
+        found.append(MotzkinWord._trusted("".join(prefix)))
+        return
+    for ch, d2 in (("0", depth), ("(", depth + 1), (")", depth - 1)):
+        if 0 <= d2 <= remaining - 1:
+            prefix.append(ch)
+            _grow(prefix, d2, remaining - 1, found)
+            prefix.pop()
+
+
+def enumerate_range(n: int) -> list[MotzkinWord]:
+    """All canonical n-words in row order, by recursive generation.
+
+    Each position tries 0, ( and ) in symbol order, which is row order,
+    so the words come out ranked without a sort.  Serves as the oracle
+    for rank/unrank and never calls either.
+    """
+    _check_range(n)
+    if n == 1:
+        return [MotzkinWord._trusted("0")]
+    found: list[MotzkinWord] = []
+    _grow(["("], 1, n - 1, found)
+    return found
+
+
+def regenerate_addendum(max_range: int) -> str:
+    """Corrected listing of the row through max_range, nine words per
+    line, each line prefixed by the index of its first word."""
+    _check_range(max_range)
+    words = []
+    for n in range(1, max_range + 1):
+        words.extend(w.text for w in enumerate_range(n))
+    width = max(3, len(str(len(words) - 1)))
+    lines = []
+    for start in range(0, len(words), 9):
+        chunk = words[start : start + 9]
+        lines.append(f"{start:0{width}d}: " + ", ".join(chunk))
+    return "\n".join(lines) + "\n"

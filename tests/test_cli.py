@@ -3,6 +3,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -353,6 +354,16 @@ def test_indexes_past_4300_digits_are_read_and_printed():
     code, out, err = _fresh_cli("unrank", "9" * 5000)
     assert (code, out) == (1, "")
     assert _one_error_line(err) and "needs a word longer" in err
+    assert len(err) < 200 and "configured maximum 4096" in err
+
+
+def test_audit_past_the_enumeration_limit_fails_before_any_range():
+    # the sweep of ranges 2..15 alone would take far longer
+    start = time.monotonic()
+    code, out, err = _fresh_cli("audit", "corollary_3_1", "--max-range", "16")
+    assert (code, out) == (1, "")
+    assert _one_error_line(err) and "range 16 exceeds the enumeration limit" in err
+    assert time.monotonic() - start < 10
 
 
 def test_bad_environment_value_spares_verbs_that_do_not_read_it(capsys,

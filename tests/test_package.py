@@ -33,12 +33,38 @@ _BASE = {"motzkinrow", *(f"motzkinrow.{m}" for m in (
     (("merge", "(0)()()", "2"), ("nav",)),
     (("add", "()0000(0)", "(0)0000"), ("blockops",)),
     (("audit", "paper_examples"), ("nav", "blockops", "verify")),
+    (("seq", "motzkin", "5"), ("nav",)),
 ])
 def test_a_verb_loads_only_the_modules_it_calls(argv, added):
     modules = loaded_modules(*argv)
     assert {m for m in modules if m.split(".")[0] == "motzkinrow"} == (
         _BASE | {f"motzkinrow.{m}" for m in added})
     assert not {"dataclasses", "inspect"} & modules
+
+
+def test_addendum_loads_only_the_word_layer():
+    modules = loaded_modules("addendum", "--max-range", "3")
+    assert {m for m in modules if m.split(".")[0] == "motzkinrow"} == {
+        "motzkinrow", *(f"motzkinrow.{m}" for m in (
+            "cli", "config", "errors", "word"))}
+
+
+def test_the_oracle_loads_no_counting_table_rank_move_or_audit():
+    # the enumerator is ground truth for rank and the nav moves only while
+    # it shares no code with them
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from motzkinrow import enumerate_range, regenerate_addendum\n"
+         "assert len(enumerate_range(10)) == 1353\n"
+         "regenerate_addendum(5)\n"
+         "print(*sorted(sys.modules), sep='\\n')\n"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.split())
+    assert "motzkinrow.word" in modules
+    assert not {f"motzkinrow.{m}" for m in (
+        "bigcomb", "rowindex", "nav", "blockops", "verify")} & modules
 
 
 def test_star_import_binds_exactly_all():

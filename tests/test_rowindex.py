@@ -127,10 +127,18 @@ def test_unrank_finds_the_range_at_its_boundaries():
 def test_unrank_keeps_to_the_word_length_limit(monkeypatch):
     with pytest.raises(LimitError, match="longer than the configured maximum"):
         unrank(motzkin(4096))
+    # an index past 64 bits is named by its size, which needs no quadratic
+    # int -> str conversion and keeps the message short
+    with pytest.raises(LimitError) as caught:
+        unrank(10 ** 20000)
+    assert str(caught.value) == ("index of 66439 bits needs a word longer "
+                                 "than the configured maximum 4096")
     monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "8")
     assert unrank(motzkin(8) - 1).text == "()()()()"
-    with pytest.raises(LimitError, match="longer than the configured maximum"):
+    with pytest.raises(LimitError) as caught:
         unrank(motzkin(8))
+    assert str(caught.value) == (
+        "index 323 needs a word longer than the configured maximum 8")
 
 
 def test_range_ends_and_rollover_keep_to_the_word_length_limit(monkeypatch):

@@ -146,6 +146,53 @@ def test_audit_never_passes_vacuously(check, first):
         audit(check, first - 1)
 
 
+def test_audit_refuses_a_scope_past_a_limit_before_any_unit_runs(monkeypatch):
+    from motzkinrow import verify
+
+    def no_run(unit):
+        raise AssertionError(f"unit {unit} ran")
+
+    monkeypatch.setattr(verify, "_CHECKS", {
+        check: (kind, no_run, first, unit)
+        for check, (kind, _, first, unit) in verify._CHECKS.items()})
+    enumerating = set(verify._CHECKS) - {"table_1", "paper_examples"}
+    for check in enumerating:
+        for workers in (1, 2):
+            with pytest.raises(LimitError,
+                               match="^range 16 exceeds the enumeration limit 15$"):
+                audit(check, 16, workers)
+    with pytest.raises(LimitError, match="^word length 4097 exceeds the "
+                                         "configured maximum 4096$"):
+        audit("table_1", 4097)
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "10")
+    for check in enumerating | {"table_1"}:
+        with pytest.raises(LimitError, match="^word length 11 exceeds the "
+                                             "configured maximum 10$"):
+            audit(check, 11)
+
+
+@pytest.mark.parametrize("limit, scope, checked", [
+    (9, 9, 1546), (10, 9, 2254), (11, 9, 2766), (12, 9, 2766),
+    (12, 12, 32564),
+])
+def test_open_drifts_keep_to_the_word_length_limit(monkeypatch, limit, scope,
+                                                   checked):
+    # a leading block drifts into at most two virtual zeros, and only as
+    # far as the length limit lets the word grow
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", str(limit))
+    rep = audit("corollary_3_1", scope)
+    assert (rep.outcome, rep.counts) == ("pass", checked)
+
+
+def test_nav_audits_run_at_a_scope_equal_to_the_length_limit(monkeypatch):
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "9")
+    for check in ("corollary_3_1", "corollary_3_3", "corollary_4_1",
+                  "conjecture_4_3", "psi_site_independence"):
+        rep = audit(check, 9)
+        assert rep.outcome in ("pass", "conjecture-holds"), check
+        assert rep.counterexamples == () and rep.counts > 0, check
+
+
 def test_audit_needs_a_worker():
     for workers in (0, -4):
         with pytest.raises(ArgumentError):
