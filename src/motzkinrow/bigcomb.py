@@ -15,10 +15,12 @@ lock and never observe a half-built column.
 Column 0 grows by the three-term recurrence of Donaghey and Shapiro.
 Column d is built from columns d-1 and d-2 by T(m, d) = T(m+1, d-1) -
 T(m, d-1) - T(m, d-2), which needs each lower column one entry further
-than the one above it.  A walk over a word reads column d only once its
-depth reaches d - 1, and from then on only at fewer remaining symbols
-than at that moment, so a word of greatest depth h grows columns
-0 .. h + 1 and each only as far as the walk first needs it.
+than the one above it.  ``_rank_terms``, the one sum of rank terms (for
+``rank``, the nav moves' verified deltas and the landmark checks), and
+``unrank`` walk a word reading column d only once its depth reaches
+d - 1, and from then on only at fewer remaining symbols than at that
+moment, so a word of greatest depth h grows columns 0 .. h + 1 and each
+only as far as the walk first needs it.
 """
 
 import threading
@@ -124,3 +126,32 @@ def completions(m, d):
     if d > m:
         return 0
     return completion_columns(d, m)[d][m]
+
+
+def _rank_terms(text, hi, lo, depth):
+    """Sum of the rank terms of positions hi .. lo of text (1-based from
+    the right, zeros past its left end), ``depth`` the depth left of hi.
+
+    A "(" at position p with depth d left of it adds T(p-1, d), a ")"
+    adds T(p-1, d) + T(p-1, d+1) (the words with a smaller symbol there)
+    and a "0" adds nothing.  Column depth + 2 through hi - 2 covers every
+    read until the walk first reaches a depth h > depth + 1 with m symbols
+    left; then it grows column h + 1 through m - 1."""
+    columns = completion_columns(depth + 2, hi - 2)
+    deepest = depth + 1
+    total = 0
+    n = len(text)
+    m = n if hi > n else hi
+    for ch in text[n - m : n + 1 - lo]:
+        m -= 1
+        if ch == "(":
+            total += columns[depth][m]
+            depth += 1
+            if depth > deepest:
+                # a ")" at this depth will read column depth + 1
+                deepest = depth
+                completion_columns(depth + 1, m - 1)
+        elif ch == ")":
+            total += columns[depth][m] + columns[depth + 1][m]
+            depth -= 1
+    return total

@@ -18,8 +18,8 @@ only on the positions touched, never on the rest of the word:
                      into one; delta -psi(k).
 
 Every operation returns a DeltaReport carrying both the polynomial value
-and the verified delta: the rank difference, summed over the touched
-positions from columns 0..4 of the completion table (see ``_report``).
+and the verified delta: the rank difference, summed over the span of the
+touched positions by ``bigcomb._rank_terms`` (see ``_report``).
 For the first three families the equality of the two is proven, so a
 mismatch raises PolynomialMismatchError.  The merge/split family is only
 conjectured and the zero-gap swap's site independence is only audited, so
@@ -38,7 +38,7 @@ and of psi, and the Motzkin and unique counts, for the ``seq`` verb.
 All positions are 1-based from the right end of the word.
 """
 
-from .bigcomb import completion_columns, motzkin, unique_count
+from .bigcomb import _rank_terms, motzkin, unique_count
 from .errors import (
     ArgumentError,
     BlockedError,
@@ -48,7 +48,6 @@ from .errors import (
     ValidityError,
     WordError,
 )
-from .rowindex import rank
 from .word import (MotzkinWord, _Value, _at, _depth_left, _scan, as_word,
                    check_length)
 
@@ -189,43 +188,23 @@ def _rewrite(w: MotzkinWord, p: int, a: str, q: int, b: str) -> MotzkinWord:
     return MotzkinWord._trusted(text)
 
 
-def _site_terms(text: str, site, depth: int, columns) -> int:
-    """Sum of the rank terms of word text at the site positions, leftmost
-    first, with ``depth`` the bracket depth left of the first one.  A "("
-    at position p with depth d before it adds T(p-1, d) = columns[d][p-1],
-    a ")" adds T(p-1, d) + T(p-1, d+1) and a "0" adds nothing; the site's
-    gaps hold zeros only."""
-    n = len(text)
-    total = 0
-    for p in site:
-        ch = text[-p] if p <= n else "0"
-        if ch == "(":
-            total += columns[depth][p - 1]
-            depth += 1
-        elif ch == ")":
-            total += columns[depth][p - 1] + columns[depth + 1][p - 1]
-            depth -= 1
-    return total
-
-
 def _report(before, after, predicted, site, proven=True) -> DeltaReport:
     """Pair the predicted delta with the rank difference, summed over the
     touched positions.  A proven prediction that disagrees raises; an
     unproven one is reportable data.
 
     Every rank term depends only on its position, its symbol and the depth
-    left of it (see ``_site_terms``), and every move leaves the symbols and
-    depths outside its site alone, zeros in its gaps aside.  The leading "("
-    adds T(n-1, 0) = M[n-1], the range base, so a change of length needs no
+    left of it (see ``bigcomb._rank_terms``), and every move leaves the
+    symbols and depths outside the span of its site alone; inside the
+    span, off the site, both words hold zeros.  The leading "(" adds
+    T(n-1, 0) = M[n-1], the range base, so a change of length needs no
     special case.  So rank(after) - rank(before) is the difference of the
-    two site sums.  They read the completion table through columns 0..4 up
-    to the leftmost site position, which covers every site: none takes the
-    depth past 3.
+    two span sums.
     """
-    columns = completion_columns(4, site[0])
-    depth = _depth_left(before.text, site[0])
-    verified = (_site_terms(after.text, site, depth, columns)
-                - _site_terms(before.text, site, depth, columns))
+    hi, lo = site[0], site[-1]
+    depth = _depth_left(before.text, hi)
+    verified = (_rank_terms(after.text, hi, lo, depth)
+                - _rank_terms(before.text, hi, lo, depth))
     report = DeltaReport(before, after, predicted, verified, tuple(site))
     if proven and predicted != verified:
         raise PolynomialMismatchError(
@@ -426,7 +405,7 @@ def control_points(n: int) -> list[tuple[str, MotzkinWord, int]]:
     out = []
     for name, text, index in points:
         word = MotzkinWord(text)
-        actual = rank(word)
+        actual = _rank_terms(text, n, 1, 0)
         if actual != index:
             raise PolynomialMismatchError(
                 f"landmark {name} of range {n}: polynomial index {index} "

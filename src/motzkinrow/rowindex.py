@@ -6,16 +6,17 @@ order; the words of length n occupy the index interval
 [motzkin(n-1), motzkin(n)).
 
 Ranking walks the word left to right and, at every position, adds the
-number of admissible completions for each strictly smaller symbol choice.
+number of admissible completions for each strictly smaller symbol choice:
+``bigcomb._rank_terms``, which also sums the nav moves' verified deltas.
 Unranking runs the same walk in reverse, always taking the smallest symbol
 whose completion count still covers the remaining offset, after finding
-the length by bisecting column 0, the Motzkin numbers.  Both walks read
-the columns of the one ``bigcomb`` table directly.  Only when a walk
-reaches a new greatest depth h with m symbols left does it ask for column
-h + 1 through m - 1, so a word of greatest depth h grows columns
-0 .. h + 1 and no deeper.  The neighbor functions do NOT use those counts
-at all: they rewrite one symbol and refill the tail directly, which keeps
-them an independent cross-check on rank/unrank.  A tail of m symbols that
+the length by bisecting column 0, the Motzkin numbers; it reads the
+columns of the one ``bigcomb`` table itself.  Only when a walk reaches a
+new greatest depth h with m symbols left does it ask for column h + 1
+through m - 1, so a word of greatest depth h grows columns 0 .. h + 1.
+The neighbor functions do NOT use those counts at all: they rewrite one
+symbol and refill the tail directly, which keeps them an independent
+cross-check on rank/unrank.  A tail of m symbols that
 starts at depth d is smallest as ``"0"*(m-d) + ")"*d`` (zeros, then the
 closing brackets) and largest as ``")"*d + "()"*((m-d)//2) + "0"*((m-d)%2)``
 (the closing brackets first, then adjacent pairs and at most one zero).
@@ -24,7 +25,7 @@ closing brackets) and largest as ``")"*d + "()"*((m-d)//2) + "0"*((m-d)%2)``
 from bisect import bisect_right
 
 from . import config
-from .bigcomb import completion_columns, motzkin
+from .bigcomb import _rank_terms, completion_columns, motzkin
 from .errors import ArgumentError, LimitError, UnderflowError
 from .word import MotzkinWord, as_word, check_length
 
@@ -41,32 +42,11 @@ def compare(x, y) -> int:
 
 
 def rank(w) -> int:
-    """Index of w in the row (the zero word has index 0)."""
-    w = as_word(w)
-    if w.is_zero:
-        return 0
-    n = len(w)
-    columns = completion_columns(2, n - 2)
-    total = 0
-    depth = 0
-    deepest = 1
-    m = n
-    for ch in w.text:
-        m -= 1
-        if ch == "(":
-            # '0' is the only smaller symbol.  At the leading position this
-            # adds T(n-1, 0) = M[n-1], the words of the shorter ranges.
-            total += columns[depth][m]
-            depth += 1
-            if depth > deepest:
-                # a ')' at this depth will read column depth + 1
-                deepest = depth
-                completion_columns(depth + 1, m - 1)
-        elif ch == ")":
-            # a '0' would keep the depth, a '(' would raise it
-            total += columns[depth][m] + columns[depth + 1][m]
-            depth -= 1
-    return total
+    """Index of w in the row, the sum of its rank terms: the leading "("
+    adds M[n-1], the words of the shorter ranges ("0" has index 0)."""
+    text = as_word(w).text
+    n = len(text)
+    return _rank_terms(text, n, 1, 0) if n > 1 else 0
 
 
 def unrank(i: int) -> MotzkinWord:

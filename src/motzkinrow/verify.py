@@ -404,8 +404,9 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
     units and of CPUs; with more than one left, the units run in separate
     processes.  The merged counterexamples are sorted so the report is
     deterministic either way.  A scope below the check's first range and
-    fewer than one worker are ArgumentErrors; a scope past a limit that
-    the check's words reach is a LimitError, raised before any unit runs.
+    fewer than one worker are ArgumentErrors; a scope past the enumeration
+    limit (for table_1, which enumerates nothing, the length limit) is a
+    LimitError, raised before any unit runs.
     """
     if check not in _CHECKS:
         raise UnknownCheckError(
@@ -419,7 +420,7 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
         )
     if workers < 1:
         raise ArgumentError(f"workers must be at least 1, got {workers}")
-    if check != "paper_examples":
+    if max_scope:  # paper_examples' scope 0 reads no range
         (check_length if check == "table_1" else _check_range)(max_scope)
     units = list(range(first, max_scope + 1)) if unit == "range" else [max_scope]
     workers = min(workers, len(units), os.cpu_count() or 1)

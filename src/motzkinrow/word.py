@@ -27,6 +27,7 @@ the two is therefore evidence, not a tautology.
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import total_ordering
 from operator import attrgetter
 
 from . import config
@@ -149,6 +150,7 @@ class _Value:
             object.__setattr__(self, f, value)
 
 
+@total_ordering
 class MotzkinWord(_Value):
     """A canonical Motzkin word (no leading zero, except the word "0")."""
 
@@ -190,16 +192,9 @@ class MotzkinWord(_Value):
         return Symbol.from_char(_at(self.text, k))
 
     def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         return self.sort_key < other.sort_key
-
-    def __le__(self, other):
-        return self.sort_key <= other.sort_key
-
-    def __gt__(self, other):
-        return self.sort_key > other.sort_key
-
-    def __ge__(self, other):
-        return self.sort_key >= other.sort_key
 
 
 class PaddedWord(_Value):

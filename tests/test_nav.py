@@ -664,9 +664,11 @@ NAV_MOVES = [("shift_open", 2048, -1), ("shift_close", 2042, "left"),
 
 
 def test_nav_moves_grow_only_the_columns_a_site_reads():
-    # the site sums read columns 0..4 up to the leftmost site position, so
-    # the moves grow exactly those columns of the table of a fresh process:
-    # no walk over the 2048-symbol host
+    # the span sums start at depth 0 or 1 and go at most one deeper, so in
+    # a fresh process the moves grow columns 0..3 only as far as the walk
+    # from the leftmost site position reads them: depth 0 from 2048
+    # (shift_open) and depth 1 from 2047 (insert_pair) both reach column 0
+    # through 2048; no walk over the 2048-symbol host
     assert len(NAV_HOST) == 2048
     script = (
         "import motzkinrow as mz, motzkinrow.bigcomb as b\n"
@@ -677,4 +679,4 @@ def test_nav_moves_grow_only_the_columns_a_site_reads():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, "[2053, 2052, 2051, 2050, 2049]\n", "")
+        0, "[2049, 2048, 2047, 2046]\n", "")

@@ -23,17 +23,18 @@ def loaded_modules(*argv):
     return set(proc.stderr.split())
 
 
-# every verb reads words or ranks them
+# every verb reads words or counts them
 _BASE = {"motzkinrow", *(f"motzkinrow.{m}" for m in (
-    "cli", "config", "errors", "bigcomb", "word", "rowindex"))}
+    "cli", "config", "errors", "bigcomb", "word"))}
 
 
 @pytest.mark.parametrize("argv, added", [
-    (("rank", "()"), ()),
-    (("merge", "(0)()()", "2"), ("nav",)),
-    (("add", "()0000(0)", "(0)0000"), ("blockops",)),
-    (("audit", "paper_examples"), ("nav", "blockops", "verify")),
+    (("rank", "()"), ("rowindex",)),
+    (("merge", "(0)()()", "2"), ("nav", "rowindex")),
+    (("add", "()0000(0)", "(0)0000"), ("blockops", "rowindex")),
+    (("audit", "paper_examples"), ("nav", "blockops", "verify", "rowindex")),
     (("seq", "motzkin", "5"), ("nav",)),
+    (("control-points", "5"), ("nav",)),
 ])
 def test_a_verb_loads_only_the_modules_it_calls(argv, added):
     modules = loaded_modules(*argv)

@@ -19,6 +19,8 @@ from motzkinrow import (
     successor,
     unrank,
 )
+from motzkinrow.bigcomb import _rank_terms
+from motzkinrow.word import _depth_left
 
 
 def test_compare_examples():
@@ -214,6 +216,32 @@ def test_rank_matches_local_triangle_up_to_length_512(triangle):
     for n in range(2, 513):
         text = _random_word(rng, n)
         assert rank(text) == _local_rank(text, tri), text
+
+
+def _split_sums(text, p):
+    # the rank terms of positions n..p+1 from depth 0, plus those of p..1
+    # from the depth left of p
+    n = len(text)
+    return (_rank_terms(text, n, p + 1, 0)
+            + _rank_terms(text, p, 1, _depth_left(text, p)))
+
+
+def test_rank_is_the_rank_walk_split_anywhere(row_through):
+    # the nav moves sum the walk over a span from the depth left of it, so
+    # a walk split at any position must add up to rank
+    for w in row_through(9):
+        text, i = w.text, rank(w)
+        for p in range(1, len(text) + 1):
+            assert _split_sums(text, p) == i, (text, p)
+        # positions past the left end hold zeros and add nothing
+        assert _rank_terms(text, len(text) + 2, 1, 0) == i, text
+    rng = random.Random(2048)
+    for _ in range(4):
+        text = _random_word(rng, rng.randint(256, 2048))
+        i = rank(text)
+        for p in rng.sample(range(1, len(text) + 1), 5):
+            assert _split_sums(text, p) == i, (len(text), p)
+        assert _rank_terms(text, len(text) + 2, 1, 0) == i
 
 
 @pytest.mark.parametrize("n", [256, 1024, 2048])

@@ -3,6 +3,7 @@ field, the field-wise repr, read-only fields without a __dict__,
 __match_args__, and pickle / deepcopy round trips."""
 
 import copy
+import operator
 import pickle
 
 import pytest
@@ -121,3 +122,24 @@ def test_a_new_value_type_compares_hashes_and_pickles_by_field():
     twin = pickle.loads(pickle.dumps(a))
     assert twin == a and hash(twin) == hash(a)
     assert repr(twin) == "_Pair(left=1, right='x')"
+
+
+_ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
+
+
+def test_words_order_by_their_sort_keys(row_through):
+    words = row_through(5)
+    for a in words:
+        for b in words:
+            assert [op(a, b) for op in _ORDER] == [
+                op(a.sort_key, b.sort_key) for op in _ORDER], (a, b)
+
+
+@pytest.mark.parametrize("other", ["(0)", 3])
+def test_ordering_a_word_against_another_type_is_a_type_error(other):
+    w = MotzkinWord("()")
+    for op in _ORDER:
+        with pytest.raises(TypeError):
+            op(w, other)
+        with pytest.raises(TypeError):
+            op(other, w)
