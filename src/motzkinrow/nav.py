@@ -172,15 +172,16 @@ def _rewrite(w: MotzkinWord, p: int, a: str, q: int, b: str) -> MotzkinWord:
     The bracket scan is the safety net: a bad site the site checks let
     through raises ValidityError.  It reads the whole word, since a scan of
     the span alone would trust the depths left of it, which the site checks
-    read.  Only a word that grew reads the length limit."""
+    read.  Only a rewrite past the left end, which grows the word, reads
+    the length limit, before the text is padded out to it."""
     if p < q:
         p, a, q, b = q, b, p, a
+    if p > len(w.text):
+        check_length(p)
     text = w.text.rjust(p, "0")
     n = len(text)
     text = (text[: n - p] + a + text[n - p + 1 : n - q] + b
             + text[n - q + 1 :]).lstrip("0") or "0"
-    if len(text) > len(w.text):
-        check_length(len(text))
     try:
         _scan(text)
     except WordError as exc:

@@ -366,6 +366,16 @@ def test_audit_past_the_enumeration_limit_fails_before_any_range():
     assert time.monotonic() - start < 10
 
 
+@pytest.mark.parametrize("offset", ["99999999999999999999", "10000000000"])
+def test_a_drift_past_the_length_limit_is_refused_before_the_word_grows(offset):
+    # the drift's new length is read before the text is padded out to it:
+    # neither a 20-digit offset nor a 10 GB word reaches the padding
+    code, out, err = _fresh_cli("shift-open", "()", "2", offset)
+    assert (code, out) == (1, "")
+    assert err == (f"error: word length {int(offset) + 2} exceeds the "
+                   "configured maximum 4096\n")
+
+
 def test_bad_environment_value_spares_verbs_that_do_not_read_it(capsys,
                                                                  monkeypatch):
     monkeypatch.setenv("MOTZKINROW_AUDIT_SCOPE", "abc")

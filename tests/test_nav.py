@@ -11,6 +11,7 @@ from motzkinrow import (
     LimitError,
     MotzkinError,
     MotzkinWord,
+    PolynomialMismatchError,
     SiteError,
     Symbol,
     ValidityError,
@@ -537,8 +538,8 @@ def test_nav_errors_just_outside_the_word(call, k, error, message):
 
 FAMILIES = {"shift_open", "shift_close", "remove_pair", "insert_pair",
             "merge_adjacent", "split_block", "swap_across_zero"}
-SITE_PROBES = ("_open_sites", "_close_sites", "_pair_sites", "_merge_sites",
-               "_swap_sites")
+SITE_CHECKS = ("corollary_3_1", "corollary_3_3", "corollary_4_1",
+               "conjecture_4_3", "psi_site_independence")
 
 
 def _split_sites(w):
@@ -552,42 +553,39 @@ def _split_sites(w):
         depth += (ch == "(") - (ch == ")")
 
 
-def _move_reports(monkeypatch, words, per_family=None):
-    """(family, rank of the word, report) for every site the audit probes
-    and _split_sites find in each word, at most per_family of each family
-    per word."""
+def _move_reports(words, per_family=None):
+    """(family, rank of the word, report) for every site the nav audits'
+    move-shape rows and _split_sites find in each word, at most per_family
+    of each family per word."""
     from motzkinrow import nav, verify
 
     found = []
-    count = {}
-
-    def keep(index, i, site, core, *args):
-        # the probe names the move's core, "_" + the public move's name, or
-        # _fuse with its gap (0 merges, 1 swaps across a zero); the report
-        # is built through the public move
-        name = core.__name__[1:]
-        if name == "fuse":
-            name, args = ("merge_adjacent", "swap_across_zero")[args[2]], args[:2]
-        if count.get(name, 0) != per_family:
-            count[name] = count.get(name, 0) + 1
-            move = getattr(nav, name)
-            found.append((name, i, verify._report_of(move, *args)))
-        return site, 0, 0
-
-    monkeypatch.setattr(verify, "_nav_site", keep)
     for w in words:
         i = rank(w)
-        count.clear()
-        for name in SITE_PROBES:
-            list(getattr(verify, name)(w, i, {}))
+        count = {}
+        for check in SITE_CHECKS:
+            for core, _, args in verify._sites(check, w.text):
+                # the row names the move's core, "_" + the public move's
+                # name, or _fuse with its gap (0 merges, 1 swaps across a
+                # zero); the report is built through the public move
+                name = core.__name__[1:]
+                if name == "fuse":
+                    name = ("merge_adjacent", "swap_across_zero")[args[1]]
+                    args = args[:1]
+                if count.get(name, 0) != per_family:
+                    count[name] = count.get(name, 0) + 1
+                    try:
+                        rep = getattr(nav, name)(w, *args)
+                    except PolynomialMismatchError as exc:
+                        rep = exc.report
+                    found.append((name, i, rep))
         for k in islice(_split_sites(w), per_family):
             found.append(("split_block", i, split_block(w, k)))
     return found
 
 
-def test_site_sums_equal_rank_differences_on_every_probe(monkeypatch,
-                                                        row_through):
-    reports = _move_reports(monkeypatch, row_through(10))
+def test_site_sums_equal_rank_differences_on_every_probe(row_through):
+    reports = _move_reports(row_through(10))
     assert {name for name, _, _ in reports} == FAMILIES
     assert len(reports) > 15000
     for name, i, rep in reports:
@@ -617,11 +615,11 @@ def _random_blocks(rng, n):
 
 
 @pytest.mark.parametrize("n", [256, 512, 1024, 2048])
-def test_site_sums_equal_rank_differences_on_long_words(monkeypatch, n):
+def test_site_sums_equal_rank_differences_on_long_words(n):
     rng = random.Random(n)
     words = [parse(_random_blocks(rng, n)) for _ in range(3)]
     assert {len(w) for w in words} == {n}
-    reports = _move_reports(monkeypatch, words, per_family=25)
+    reports = _move_reports(words, per_family=25)
     assert {name for name, _, _ in reports} == FAMILIES
     for name, i, rep in reports:
         assert rep.verified_delta == rank(rep.after) - i, (name, rep.site)
@@ -637,11 +635,11 @@ def _depths(w, width):
     return out
 
 
-def test_moves_change_nothing_outside_their_site(monkeypatch, row_through):
+def test_moves_change_nothing_outside_their_site(row_through):
     # the premise of the site sums, per family: outside the span of the
     # site the symbols and the depths left of them are those of the word
     # before, and inside it every position off the site is a zero in both
-    for name, _, rep in _move_reports(monkeypatch, row_through(10)):
+    for name, _, rep in _move_reports(row_through(10)):
         before, after, site = rep.before, rep.after, rep.site
         width = max(len(before), len(after)) + 1
         depth_a, depth_b = _depths(before, width), _depths(after, width)

@@ -13,12 +13,17 @@ from motzkinrow import (
     UnknownSequenceError,
     audit,
     enumerate_range,
+    insert_pair,
+    merge_adjacent,
     motzkin,
     regenerate_addendum,
+    remove_pair,
     report_lines,
     report_text,
     sequence,
+    shift_close,
     shift_open,
+    swap_across_zero,
     unique_count,
     unrank,
 )
@@ -355,23 +360,62 @@ def test_length_keeping_nav_audits_read_no_rank(monkeypatch):
     monkeypatch.setattr(verify, "rank",
                         lambda w: ranked.append(w) or real_rank(w))
     assert audit("corollary_3_1", 8) == want["corollary_3_1"]
-    # the same sites through the public move: every opening bracket moved
-    # across zeros either way, the word growing by two symbols at most
-    sites = resized = 0
+    assert 0 < len(ranked) < want["corollary_3_1"].counts
+
+
+# every public move call that may be a site of an n-word, with the label the
+# audit gives that site: opening brackets moved across zeros either way, the
+# word growing by two symbols at most, and every position or pair of
+# positions of the word for the other families
+NAV_CALLS = {
+    "corollary_3_1": lambda n: [
+        (f"open k={k} j={j:+d}", shift_open, k, j)
+        for k in range(1, n + 1) for j in range(1 - k, n + 3 - k) if j],
+    "corollary_3_3": lambda n: [
+        (f"close k={k} {side}", shift_close, k, side)
+        for k in range(1, n + 1) for side in ("left", "right")],
+    "corollary_4_1": lambda n: [
+        (f"{name} ({k},{l})", move, k, l)
+        for name, move in (("remove", remove_pair), ("insert", insert_pair))
+        for l in range(3, n + 1) for k in range(2, l)],
+    "conjecture_4_3": lambda n: [
+        (f"merge k={k}", merge_adjacent, k) for k in range(1, n + 1)],
+    "psi_site_independence": lambda n: [
+        (f"swap k={k}", swap_across_zero, k) for k in range(1, n + 1)],
+}
+
+
+@pytest.mark.parametrize("check", NAV_CALLS)
+def test_nav_audits_check_every_site_a_public_move_accepts(monkeypatch,
+                                                           check):
+    # brute force over the public move's arguments, then the audit with
+    # every nav prediction off, so that each site it checks is a
+    # counterexample and shows its label; a site that changes the word's
+    # length is the only one ranked
+    from motzkinrow import nav, verify
+
+    sites, resized = set(), 0
     for n in range(2, 9):
         for w in enumerate_range(n):
-            for k in range(1, n + 1):
-                for j in range(1 - k, n + 3 - k):
-                    if j == 0 or w.text[-k] != "(":
-                        continue
-                    try:
-                        after = shift_open(w, k, j).after
-                    except MotzkinError:
-                        continue
-                    sites += 1
-                    resized += len(after) != n
-    assert sites == want["corollary_3_1"].counts
-    assert 0 < len(ranked) == resized < sites
+            for label, move, *args in NAV_CALLS[check](n):
+                try:
+                    after = move(w, *args).after
+                except MotzkinError:
+                    continue
+                sites.add((w.text, label))
+                resized += len(after) != n
+    # each prediction sums Motzkin numbers in a way that leaves the powers
+    # of 4 a nonzero sum: open drifts 4**(k-1) * (4**j - 1), xi 33 * 4**(k-1)
+    mot = nav.motzkin
+    monkeypatch.setattr(nav, "motzkin", lambda n: mot(n) + 4 ** n)
+    ranked = []
+    real_rank = verify.rank
+    monkeypatch.setattr(verify, "rank",
+                        lambda w: ranked.append(w) or real_rank(w))
+    rep = audit(check, 8)
+    assert rep.counts == len(rep.counterexamples) == len(sites)
+    assert {(cx.word, cx.site) for cx in rep.counterexamples} == sites
+    assert len(ranked) == resized
 
 
 def test_paper_examples_report_a_wrong_proven_polynomial(monkeypatch, capsys):
@@ -388,6 +432,45 @@ def test_paper_examples_report_a_wrong_proven_polynomial(monkeypatch, capsys):
     }
     assert cli.main(["audit", "paper_examples"]) == 3
     assert "outcome: fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fault, lines", [
+    # a proven polynomial off: each replay case that crosses xi(5) is named
+    # under its label, uncounted, and the replay goes on
+    ("xi", [
+        "chain-7 close drift site='polynomial' predicted=35 verified=34",
+        "close drift (0)0000 left site='polynomial' predicted=35 verified=34",
+        "close drift (00)(()) left site='polynomial' predicted=35 verified=34",
+        "close drift ()00000 right site='polynomial' predicted=-35 "
+        "verified=-34",
+        "close drift (()0)(0)0 left site='polynomial' predicted=35 "
+        "verified=34",
+    ]),
+    # a sum that returns its first operand
+    ("add", [
+        "sum site=\"got '()0000(0)', want '()(0)0(0)'\" predicted=None "
+        "verified=None",
+        "overlay site=\"got '()0000000', want '()0(0())0'\" predicted=None "
+        "verified=None",
+        "mixed ops site=\"got '(0)', want '()0000(0)'\" predicted=None "
+        "verified=None",
+        *(f"grouping {g} site=\"got '(0)', want '()(0)0(0)'\" "
+          "predicted=None verified=None" for g in "abc"),
+    ]),
+])
+def test_failing_paper_examples_reports_are_pinned(monkeypatch, fault, lines):
+    from motzkinrow import as_word, nav, verify
+
+    if fault == "xi":
+        xi = nav._xi
+        monkeypatch.setattr(nav, "_xi", lambda k: xi(k) + (k == 5))
+    else:
+        monkeypatch.setattr(verify, "add", lambda x, y: as_word(x))
+    assert report_lines(audit("paper_examples", 0)).splitlines() == [
+        "check=paper_examples scope=0 outcome=fail checked=73 "
+        f"counterexamples={len(lines)}",
+        *(f"counterexample check=paper_examples word={line}" for line in lines),
+    ]
 
 
 class _SerialPool:
