@@ -19,18 +19,19 @@ only on the positions touched, never on the rest of the word:
 
 Every operation returns a DeltaReport carrying both the polynomial value
 and the verified delta: the rank difference, summed over the span of the
-touched positions by ``bigcomb._rank_terms`` (see ``_report``).
+touched positions by ``bigcomb._rank_terms`` (see ``_move``).
 For the first three families the equality of the two is proven, so a
 mismatch raises PolynomialMismatchError.  The merge/split family is only
 conjectured and the zero-gap swap's site independence is only audited, so
 there a mismatch is data for the caller, not an error.
 
-Each public move runs ``as_word``, then its core (its name with a leading
-underscore; merge_adjacent and swap_across_zero share ``_fuse``), then
-``_report``.  The core runs the site checks and the rewrite and returns
-(after, predicted, site), reading xi, zeta and psi through the guard-free
-``_xi``, ``_zeta`` and ``_psi``: a host word is already within the length
-limit.  The audits run the cores, report-free.
+Each public move runs ``_move``: ``as_word``, then its core (its name
+with a leading underscore; merge_adjacent and swap_across_zero share
+``_fuse``), then the rank-difference report.  The core runs the site
+checks and the rewrite and returns (after, predicted, site), reading xi,
+zeta and psi through the guard-free ``_xi``, ``_zeta`` and ``_psi``: a
+host word is already within the length limit.  The audits run the cores,
+report-free.
 
 ``sequence`` lists the first terms of xi, of zeta on adjacent positions
 and of psi, and the Motzkin and unique counts, for the ``seq`` verb.
@@ -65,12 +66,8 @@ class DeltaReport(_Value):
     def __init__(self, before: MotzkinWord, after: MotzkinWord,
                  predicted_delta: int, verified_delta: int,
                  site: tuple[int, ...]):
-        set_ = object.__setattr__
-        set_(self, "before", before)
-        set_(self, "after", after)
-        set_(self, "predicted_delta", predicted_delta)
-        set_(self, "verified_delta", verified_delta)
-        set_(self, "site", site)
+        self.__setstate__((before, after, predicted_delta, verified_delta,
+                           site))
 
     @property
     def agrees(self) -> bool:
@@ -189,10 +186,10 @@ def _rewrite(w: MotzkinWord, p: int, a: str, q: int, b: str) -> MotzkinWord:
     return MotzkinWord._trusted(text)
 
 
-def _report(before, after, predicted, site, proven=True) -> DeltaReport:
-    """Pair the predicted delta with the rank difference, summed over the
-    touched positions.  A proven prediction that disagrees raises; an
-    unproven one is reportable data.
+def _move(core, w, *args, proven=True) -> DeltaReport:
+    """Run core on w as a word, then pair its predicted delta with the rank
+    difference, summed over the touched positions.  A proven prediction
+    that disagrees raises; an unproven one is reportable data.
 
     Every rank term depends only on its position, its symbol and the depth
     left of it (see ``bigcomb._rank_terms``), and every move leaves the
@@ -202,11 +199,13 @@ def _report(before, after, predicted, site, proven=True) -> DeltaReport:
     special case.  So rank(after) - rank(before) is the difference of the
     two span sums.
     """
+    before = as_word(w)
+    after, predicted, site = core(before, *args)
     hi, lo = site[0], site[-1]
     depth = _depth_left(before.text, hi)
     verified = (_rank_terms(after.text, hi, lo, depth)
                 - _rank_terms(before.text, hi, lo, depth))
-    report = DeltaReport(before, after, predicted, verified, tuple(site))
+    report = DeltaReport(before, after, predicted, verified, site)
     if proven and predicted != verified:
         raise PolynomialMismatchError(
             f"proven delta {report.predicted_delta} disagrees with rank "
@@ -224,8 +223,7 @@ def shift_open(w, k: int, j: int) -> DeltaReport:
     Leftward moves may run into virtual leading zeros and grow the word;
     rightward moves stay inside the block.  Delta: M[k-1+j] - M[k-1].
     """
-    w = as_word(w)
-    return _report(w, *_shift_open(w, k, j))
+    return _move(_shift_open, w, k, j)
 
 
 def _shift_open(w, k, j):
@@ -252,34 +250,26 @@ def shift_close(w, k: int, direction: str) -> DeltaReport:
     moves out over the depth-0 zero at k-1 (delta -xi(k-1)).  The word's
     length never changes.
     """
-    w = as_word(w)
-    return _report(w, *_shift_close(w, k, direction))
+    return _move(_shift_close, w, k, direction)
 
 
 def _shift_close(w, k, direction):
     _check_outer_bracket(w, k, "close")
-    if direction == "left":
-        if _at(w.text, k + 1) != "0":
-            raise BlockedError(
-                f"position {k + 1} of {w.text!r} is not a zero"
-            )
-        return _rewrite(w, k + 1, ")", k, "0"), _xi(k), (k + 1, k)
-    if direction == "right":
-        if k < 2:
-            raise ArgumentError("a closing bracket cannot move right of position 1")
-        if _at(w.text, k - 1) != "0":
-            raise BlockedError(
-                f"position {k - 1} of {w.text!r} is not a zero"
-            )
-        return _rewrite(w, k, "0", k - 1, ")"), -_xi(k - 1), (k, k - 1)
-    raise ArgumentError(f"direction must be 'left' or 'right', got {direction!r}")
+    if direction not in ("left", "right"):
+        raise ArgumentError(f"direction must be 'left' or 'right', got {direction!r}")
+    q = k + 1 if direction == "left" else k - 1  # the zero it swaps with
+    if q < 1:
+        raise ArgumentError("a closing bracket cannot move right of position 1")
+    if _at(w.text, q) != "0":
+        raise BlockedError(f"position {q} of {w.text!r} is not a zero")
+    predicted = _xi(k) if q > k else -_xi(q)
+    return _rewrite(w, q, ")", k, "0"), predicted, (max(k, q), min(k, q))
 
 
 def remove_pair(w, k: int, l: int) -> DeltaReport:
     """Erase the closing bracket at l and the opening bracket at k of two
     neighboring outer blocks, joining them; delta -zeta(k, l)."""
-    w = as_word(w)
-    return _report(w, *_remove_pair(w, k, l))
+    return _move(_remove_pair, w, k, l)
 
 
 def _remove_pair(w, k, l):
@@ -298,8 +288,7 @@ def _remove_pair(w, k, l):
 def insert_pair(w, k: int, l: int) -> DeltaReport:
     """Write a close bracket at l and an open bracket at k inside a
     block's depth-1 zero zone, splitting the block; delta +zeta(k, l)."""
-    w = as_word(w)
-    return _report(w, *_insert_pair(w, k, l))
+    return _move(_insert_pair, w, k, l)
 
 
 def _insert_pair(w, k, l):
@@ -324,16 +313,14 @@ def merge_adjacent(w, k: int) -> DeltaReport:
     The predicted delta -M[k] rests on a conjecture, so the report's
     verified delta is the authority; callers can compare the two.
     """
-    w = as_word(w)
-    return _report(w, *_fuse(w, k, 0), proven=False)
+    return _move(_fuse, w, k, 0, proven=False)
 
 
 def split_block(w, k: int) -> DeltaReport:
     """Inverse of merge_adjacent: an adjacent bracket pair sitting at
     depth 1 inside an outer block swaps into two touching blocks;
     conjectured delta +M[k]."""
-    w = as_word(w)
-    return _report(w, *_split_block(w, k), proven=False)
+    return _move(_split_block, w, k, proven=False)
 
 
 def _split_block(w, k):
@@ -360,8 +347,7 @@ def swap_across_zero(w, k: int) -> DeltaReport:
     difference, summed over the touched positions, is reported, not
     raised.
     """
-    w = as_word(w)
-    return _report(w, *_fuse(w, k, 1), proven=False)
+    return _move(_fuse, w, k, 1, proven=False)
 
 
 def _fuse(w, k, gap):
@@ -372,10 +358,8 @@ def _fuse(w, k, gap):
     if gap and _at(w.text, k + 1) != "0":
         raise SiteError(f"position {k + 1} of {w.text!r} is not a zero")
     _check_outer_bracket(w, k, "open")
-    after = _rewrite(w, p, "(", k, ")")
-    if gap:
-        return after, -_psi(k), (p, k + 1, k)
-    return after, -motzkin(k), (p, k)
+    return (_rewrite(w, p, "(", k, ")"), -_psi(k) if gap else -motzkin(k),
+            tuple(range(p, k - 1, -1)))
 
 
 # psi enters the nested_block polynomial because that landmark is reached

@@ -141,7 +141,7 @@ def predecessor(w) -> MotzkinWord:
         return MotzkinWord._trusted(
             text[:i] + ch + ")" * d + "()" * (r // 2) + "0" * (r % 2))
     # w is the minimum of its range.
-    return range_max(n - 1)[0]
+    return _largest(n - 1)
 
 
 def range_min(n: int) -> tuple[MotzkinWord, int]:
@@ -155,15 +155,15 @@ def range_min(n: int) -> tuple[MotzkinWord, int]:
 
 
 def range_max(n: int) -> tuple[MotzkinWord, int]:
-    """Largest word of length n together with its index.
-
-    The maximum is a run of adjacent bracket pairs, plus one trailing zero
-    when n is odd; ranges 1 and 2 are singletons.
-    """
+    """Largest word of length n together with its index."""
     if n < 1:
         raise ArgumentError(f"ranges are numbered from 1, got {n}")
     check_length(n)
-    if n == 1:
-        return MotzkinWord._trusted("0"), 0
-    return (MotzkinWord._trusted("()" * (n // 2) + "0" * (n % 2)),
-            motzkin(n) - 1)
+    return _largest(n), motzkin(n) - 1
+
+
+def _largest(n):
+    """The largest n-word, built without its index: a run of adjacent
+    bracket pairs, plus one trailing zero when n is odd; ranges 1 and 2
+    are singletons."""
+    return MotzkinWord._trusted("()" * (n // 2) + "0" * (n % 2))

@@ -116,7 +116,9 @@ class _Value:
     ``object.__setattr__``, a field-wise repr, ``__match_args__``, pickling,
     and equality and hashing by field through ``_fields``, one C-level
     ``attrgetter`` per class.  Each type writes its own ``__init__``, since
-    the types check different things."""
+    the types check different things, and sets its fields through
+    ``__setstate__``; only the hot builders, ``MotzkinWord._trusted`` and
+    ``outer_blocks``, set them directly."""
 
     __slots__ = ()
 
@@ -163,7 +165,7 @@ class MotzkinWord(_Value):
                 f"{text!r} starts with a zero; parse() turns leading "
                 "zeros into padding"
             )
-        object.__setattr__(self, "text", text)
+        self.__setstate__((text,))
 
     @classmethod
     def _trusted(cls, text: str) -> "MotzkinWord":
@@ -209,8 +211,7 @@ class PaddedWord(_Value):
     def __init__(self, core: MotzkinWord, left_padding: int):
         if left_padding < 0:
             raise ArgumentError("left_padding must be nonnegative")
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "left_padding", left_padding)
+        self.__setstate__((core, left_padding))
 
     @property
     def text(self) -> str:
@@ -237,8 +238,7 @@ class BlockSpan(_Value):
                 f"span needs open_pos > close_pos >= 1, got "
                 f"({open_pos}, {close_pos})"
             )
-        object.__setattr__(self, "open_pos", open_pos)
-        object.__setattr__(self, "close_pos", close_pos)
+        self.__setstate__((open_pos, close_pos))
 
     def covers(self, pos: int) -> bool:
         return self.close_pos <= pos <= self.open_pos

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -422,3 +423,129 @@ def test_cli_import_leaves_out_the_process_pool():
         capture_output=True, text=True,
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+# --- help ------------------------------------------------------------------
+
+# Each verb's arguments as its --help lists them: a positional by name, or
+# by its choices in braces, and an option by its flag.
+SEQUENCES = "{motzkin,unique,xi,zeta_adjacent,psi}"
+CHECKS = ("{rank_roundtrip,order_agreement,theorem_2_4,corollary_3_1,"
+          "corollary_3_3,corollary_4_1,conjecture_4_3,psi_site_independence,"
+          "table_1,paper_examples}")
+VERB_ARGUMENTS = {
+    "rank": ["word"], "unrank": ["index"], "next": ["word"],
+    "prev": ["word"], "cmp": ["left", "right"], "add": ["left", "right"],
+    "sub": ["left", "right"], "decompose": ["word"],
+    "shift-open": ["word", "position", "offset"],
+    "shift-close": ["word", "position", "{left,right}"],
+    "remove-pair": ["word", "open_pos", "close_pos"],
+    "insert-pair": ["word", "open_pos", "close_pos"],
+    "merge": ["word", "position"], "split": ["word", "position"],
+    "swap": ["word", "position"], "xi": ["k"], "zeta": ["k", "l"],
+    "psi": ["k"], "range": ["length"], "control-points": ["length"],
+    "seq": [SEQUENCES, "count"],
+    "audit": [CHECKS, "--max-range", "--workers"],
+    "addendum": ["--max-range"],
+}
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    return out
+
+
+def _listed(out):
+    # the first word of each entry line; wrapped help text is indented
+    # further
+    return re.findall(r"^ {2,4}(\S+)", out, re.M)
+
+
+def test_help_lists_every_verb(capsys):
+    verbs = [name for name, *_ in cli._VERBS]
+    assert len(verbs) == 23 and set(verbs) == set(VERB_ARGUMENTS)
+    assert set(verbs) <= set(_listed(_help(capsys)))
+
+
+@pytest.mark.parametrize("verb", VERB_ARGUMENTS)
+def test_verb_help_lists_every_argument(capsys, verb):
+    # the arguments are added only when argparse dispatches to the verb
+    out = _help(capsys, verb)
+    assert out.startswith(f"usage: motzkinrow {verb} [-h]")
+    listed = set(_listed(out)) - {"-h,"}
+    assert sorted(listed) == sorted(VERB_ARGUMENTS[verb])
+
+
+# --- limits ------------------------------------------------------------------
+
+def _motzkin_4096():
+    m = [1, 1]
+    for n in range(2, 4097):
+        m = [m[1], ((2 * n + 1) * m[1] + 3 * (n - 1) * m[0]) // (n + 2)]
+    return m[1]
+
+
+LONG = "(" + "0" * 4095 + ")"  # 4097 symbols
+BIG = "99999999999999999999"
+BIG_1 = "99999999999999999998"
+
+# (arguments, exit code): every verb with the first argument past its
+# limit (a word or position of length 4097, the first index of range 4097,
+# range 16 for the enumerating checks) and with 20-digit numbers
+LIMIT_CALLS = [
+    *[((verb, LONG), 1) for verb in ("rank", "next", "prev", "decompose")],
+    *[((verb, *pair), 1) for verb in ("cmp", "add", "sub")
+      for pair in ((LONG, "()"), ("()", LONG))],
+    (("shift-open", LONG, "4097", "1"), 1),
+    (("shift-open", "()", "4097", "1"), 1),
+    (("shift-open", "()", "2", "4095"), 1),
+    (("shift-open", "()", BIG, "1"), 1),
+    (("shift-open", "(0)", "3", "-" + BIG), 1),
+    (("shift-close", LONG, "1", "right"), 1),
+    (("shift-close", "()", "4097", "left"), 1),
+    (("shift-close", "()", BIG, "left"), 1),
+    *[((verb, word, *pair), 1) for verb in ("remove-pair", "insert-pair")
+      for word, pair in ((LONG, ("2", "3")), ("(0)", ("4096", "4097")),
+                         ("(0)", (BIG_1, BIG)))],
+    *[((verb, *args), 1) for verb in ("merge", "split", "swap")
+      for args in ((LONG, "2"), ("()", "4097"), ("()", BIG))],
+    (("xi", "4095"), 1), (("xi", BIG), 1),
+    (("zeta", "4095", "4096"), 1), (("zeta", BIG_1, BIG), 1),
+    (("psi", "4094"), 1), (("psi", BIG), 1),
+    *[((verb, n), 1) for verb in ("range", "control-points")
+      for n in ("4097", BIG)],
+    *[(("seq", name, count), 1)
+      for name, past in (("motzkin", "4098"), ("unique", "4097"),
+                         ("xi", "4095"), ("zeta_adjacent", "4094"),
+                         ("psi", "4093"))
+      for count in (past, BIG)],
+    (("unrank", str(_motzkin_4096())), 1),
+    (("unrank", BIG), 0),
+    *[(("audit", check, "--max-range", "16"), 0 if check == "table_1" else 1)
+      for check in CHECKS[1:-1].split(",")],
+    (("audit", "table_1", "--max-range", "4097"), 1),
+    (("audit", "table_1", "--max-range", BIG), 1),
+    (("audit", "order_agreement", "--max-range", "6", "--workers", BIG), 0),
+    (("addendum", "--max-range", "16"), 1),
+    (("addendum", "--max-range", BIG), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", LIMIT_CALLS,
+    ids=[" ".join(a if len(a) < 24 else f"<{len(a)}>" for a in argv)
+         for argv, _ in LIMIT_CALLS])
+def test_arguments_past_a_limit_end_cleanly(argv, code):
+    # each call ends with its exit code and, on an error, one error line;
+    # none took over 0.2 s on a 2-CPU host, interpreter start included
+    start = time.monotonic()
+    got, out, err = _fresh_cli(*argv)
+    assert time.monotonic() - start < 5
+    assert got == code
+    if code:
+        assert out == "" and _one_error_line(err)
+    else:
+        assert err == ""

@@ -279,3 +279,34 @@ def test_shallow_long_word_grows_only_the_columns_it_reads():
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, f"True {deepest + 2}\n", "")
+
+
+def test_neighbors_read_no_counts():
+    # the neighbours rewrite symbols and refill the tail; they read no
+    # completion count, so in a fresh process the table keeps its seed
+    # column 0 = [M[0], M[1]] however long the word, rollovers included
+    rng = random.Random(2048)
+    flat = "".join(_random_word(rng, 38) + "00" for _ in range(51))
+    flat += "(" + "0" * (2046 - len(flat)) + ")"
+    walk = _random_word(rng, 2048)
+    nest = "(" * 512 + "0" * 1024 + ")" * 512
+    smallest = "(" + "0" * 2046 + ")"
+    words = [flat, walk, nest, "()" * 1024, smallest]
+    assert all(len(parse(w)) == 2048 for w in words)
+    script = (
+        "import sys, motzkinrow as mz, motzkinrow.bigcomb as b\n"
+        "for text in sys.stdin.read().split():\n"
+        "    print(mz.successor(text), mz.predecessor(text))\n"
+        "print(b._columns)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          input="\n".join(words), capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *pairs, columns = proc.stdout.splitlines()
+    assert columns == "[[1, 1]]"
+    assert pairs[3].split()[0] == "(" + "0" * 2047 + ")"
+    assert pairs[4].split()[1] == "()" * 1023 + "0"
+    for text, pair in zip(words, pairs):
+        nxt, prev = map(MotzkinWord, pair.split())
+        assert predecessor(nxt).text == successor(prev).text == text
