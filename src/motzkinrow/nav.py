@@ -124,19 +124,22 @@ def _psi(k):
             + motzkin(k))
 
 
+# name: (first argument, how far the words a term counts outgrow its
+# argument, term); xi(k), say, counts words of length k + 2
 _SEQUENCES = {
-    "motzkin": lambda count: [motzkin(n) for n in range(count)],
-    "unique": lambda count: [unique_count(n) for n in range(1, count + 1)],
-    "xi": lambda count: [xi(k) for k in range(1, count + 1)],
-    "zeta_adjacent": lambda count: [zeta(k, k + 1) for k in range(2, count + 2)],
-    "psi": lambda count: [psi(k) for k in range(2, count + 2)],
+    "motzkin": (0, 0, motzkin),
+    "unique": (1, 0, unique_count),
+    "xi": (1, 2, _xi),
+    "zeta_adjacent": (2, 2, lambda k: _zeta(k, k + 1)),
+    "psi": (2, 3, _psi),
 }
 
 
 def sequence(name: str, count: int) -> list[int]:
     """First `count` terms of a named sequence, from its natural start
     (motzkin from 0, unique and xi from 1, zeta_adjacent and psi from 2).
-    A term that counts words past the length limit raises LimitError."""
+    A count whose last term counts words past the length limit raises
+    LimitError before any term is computed."""
     if count < 1:
         raise ArgumentError(f"count must be positive, got {count}")
     if name not in _SEQUENCES:
@@ -144,9 +147,10 @@ def sequence(name: str, count: int) -> list[int]:
             f"unknown sequence {name!r}; expected one of "
             f"{sorted(_SEQUENCES)}"
         )
-    if name in ("motzkin", "unique"):  # xi, zeta and psi check each term
-        check_length(count - 1 if name == "motzkin" else count)
-    return _SEQUENCES[name](count)
+    first, reach, term = _SEQUENCES[name]
+    last = first + count - 1
+    check_length(last + reach)
+    return [term(k) for k in range(first, last + 1)]
 
 
 def _check_outer_bracket(w: MotzkinWord, k: int, side: str) -> None:

@@ -10,17 +10,18 @@ as a virtual zero, which is what lets words of different lengths line up
 for comparison and overlay.
 
 ``MotzkinWord(text)``, ``parse`` and ``as_word`` on a string validate their
-input, each with one scan.  Words the library assembles from already-valid pieces (unrank, the
-row neighbours, the range ends, block sums and differences, extended
-blocks, the enumerator, nav rewrites after their own bracket scan
-``_scan``) skip that check through the private ``MotzkinWord._trusted``;
-where such a word may be longer than its input, the builder calls
-``check_length`` first.  Position k of a text is ``text[-k]``.
+input, each with one scan.  Words the library assembles from already-valid
+pieces (unrank, the row neighbours, the range ends, block sums and
+differences, extended blocks, nav rewrites after their own bracket scan
+``_scan``) skip that check through the private ``MotzkinWord._trusted``,
+and the enumerator sets each word's text slot itself; where such a word
+may be longer than its input, the builder calls ``check_length`` first.
+Position k of a text is ``text[-k]``.
 
 The enumerator here is the package's independent ground truth: it builds
-every canonical word of a range by depth-tracked recursive generation in
-symbol order, which is row order, and imports no counting table, so it
-shares no code with the arithmetic of rank and unrank.  Agreement between
+every canonical word of a range from lists of tails joined in symbol
+order, which is row order, and imports no counting table, so it shares
+no code with the arithmetic of rank and unrank.  Agreement between
 the two is therefore evidence, not a tautology.
 """
 
@@ -117,8 +118,8 @@ class _Value:
     and equality and hashing by field through ``_fields``, one C-level
     ``attrgetter`` per class.  Each type writes its own ``__init__``, since
     the types check different things, and sets its fields through
-    ``__setstate__``; only the hot builders, ``MotzkinWord._trusted`` and
-    ``outer_blocks``, set them directly."""
+    ``__setstate__``; only the hot builders, ``MotzkinWord._trusted``,
+    ``outer_blocks`` and ``enumerate_range``, set them directly."""
 
     __slots__ = ()
 
@@ -336,33 +337,37 @@ def _check_range(n: int) -> None:
     check_length(n)
 
 
-def _grow(prefix, depth, remaining, found):
-    # Append every way to finish prefix at depth 0 in `remaining` symbols.
-    # Not a closure: one that calls itself is a cycle that would keep each
-    # returned list alive until the cyclic collector runs.
-    if remaining == 0:
-        found.append(MotzkinWord._trusted("".join(prefix)))
-        return
-    for ch, d2 in (("0", depth), ("(", depth + 1), (")", depth - 1)):
-        if 0 <= d2 <= remaining - 1:
-            prefix.append(ch)
-            _grow(prefix, d2, remaining - 1, found)
-            prefix.pop()
-
-
 def enumerate_range(n: int) -> list[MotzkinWord]:
-    """All canonical n-words in row order, by recursive generation.
+    """All canonical n-words in row order, built from lists of tails.
 
-    Each position tries 0, ( and ) in symbol order, which is row order,
-    so the words come out ranked without a sort.  Serves as the oracle
-    for rank/unrank and never calls either.
+    ``tails[d]`` holds, in row order, every string of length m that
+    starts at depth d, never dips below depth 0 and ends there (row m of
+    the Motzkin triangle, as strings).  The lists one symbol longer are
+    "0" + tails[d], then "(" + tails[d+1], then ")" + tails[d-1]: joined
+    in symbol order, which is row order, so each stays sorted without a
+    sort.  The range is "(" followed by the (n-1)-tails from depth 1,
+    which are the last step's "0" + tails[1], "(" + tails[2] and
+    ")" + tails[0]; no depth above min(m, n-m) reaches them, so none is
+    built.  Serves as the oracle for rank/unrank: it reads no count and
+    calls neither.
     """
     _check_range(n)
     if n == 1:
         return [MotzkinWord._trusted("0")]
-    found: list[MotzkinWord] = []
-    _grow(["("], 1, n - 1, found)
-    return found
+    # two empty lists past the deepest, which depth -1 also reads
+    tails = [[""], [], []]
+    for m in range(1, n - 1):
+        tails = [[ch + t for ch, d2 in (("0", d), ("(", d + 1), (")", d - 1))
+                  for t in tails[d2]]
+                 for d in range(min(m, n - m) + 1)] + [[], []]
+    texts = [head + t for head, d in (("(0", 1), ("((", 2), ("()", 0))
+             for t in tails[d]]
+    del tails  # before the words are made, which keeps the peak down
+    # wrap in one pass, setting each fresh word's text slot directly
+    words = list(map(object.__new__, [MotzkinWord] * len(texts)))
+    for _ in map(MotzkinWord.text.__set__, words, texts):
+        pass
+    return words
 
 
 def regenerate_addendum(max_range: int) -> str:

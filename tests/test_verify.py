@@ -1,5 +1,7 @@
 import gc
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -16,6 +18,7 @@ from motzkinrow import (
     insert_pair,
     merge_adjacent,
     motzkin,
+    psi,
     regenerate_addendum,
     remove_pair,
     report_lines,
@@ -26,6 +29,8 @@ from motzkinrow import (
     swap_across_zero,
     unique_count,
     unrank,
+    xi,
+    zeta,
 )
 
 
@@ -50,6 +55,27 @@ def _brute_range(n):
     return out
 
 
+def _grow(prefix, depth, remaining, found):
+    """A second reference, by recursive generation: each position tries
+    0, ( and ) in symbol order, one call per prefix."""
+    if remaining == 0:
+        found.append("".join(prefix))
+        return
+    for ch, d2 in (("0", depth), ("(", depth + 1), (")", depth - 1)):
+        if 0 <= d2 <= remaining - 1:
+            prefix.append(ch)
+            _grow(prefix, d2, remaining - 1, found)
+            prefix.pop()
+
+
+def _recursive_range(n):
+    if n == 1:
+        return ["0"]
+    found = []
+    _grow(["("], 1, n - 1, found)
+    return found
+
+
 def test_enumerate_range_examples():
     assert [w.text for w in enumerate_range(3)] == ["(0)", "()0"]
     assert [w.text for w in enumerate_range(4)] == [
@@ -64,6 +90,26 @@ def test_enumerate_range_examples():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_enumerate_range_matches_brute_force(n):
     assert [w.text for w in enumerate_range(n)] == _brute_range(n)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_enumerate_range_matches_the_recursive_generator(n):
+    assert [w.text for w in enumerate_range(n)] == _recursive_range(n)
+
+
+def test_enumerate_range_peak_memory_stays_near_its_result():
+    # a fresh process, so that the trace sees only the enumerator's own
+    # allocations; the lists of tails are dropped before the words are made
+    script = ("import tracemalloc\n"
+              "from motzkinrow import enumerate_range\n"
+              "tracemalloc.start()\n"
+              "words = enumerate_range(15)\n"
+              "print(*tracemalloc.get_traced_memory())\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    size, peak = map(int, proc.stdout.split())
+    assert peak <= 1.5 * size
 
 
 def test_enumerate_range_counts():
@@ -117,9 +163,34 @@ def test_sequences_keep_to_the_word_length_limit(monkeypatch):
     monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "9")
     assert sequence("motzkin", 10)[-1] == motzkin(9)
     assert sequence("unique", 9)[-1] == motzkin(9) - motzkin(8)
-    for name, count in (("motzkin", 11), ("unique", 10)):
+    # the last xi term counts (count+2)-words, the last zeta_adjacent term
+    # (count+3)-words and the last psi term (count+4)-words
+    assert sequence("xi", 7)[-1] == xi(7)
+    assert sequence("zeta_adjacent", 6)[-1] == zeta(7, 8)
+    assert sequence("psi", 5)[-1] == psi(6)
+    for name, count in (("motzkin", 11), ("unique", 10), ("xi", 8),
+                        ("zeta_adjacent", 7), ("psi", 6)):
         with pytest.raises(LimitError):
             sequence(name, count)
+
+
+def test_a_sequence_past_the_limit_computes_no_term(monkeypatch):
+    # the count is checked up front, not by the first term past the limit
+    from motzkinrow import nav
+
+    calls = []
+
+    def counting_xi(k):
+        calls.append(k)
+        return nav._xi(k)
+
+    first, reach, _ = nav._SEQUENCES["xi"]
+    monkeypatch.setitem(nav._SEQUENCES, "xi", (first, reach, counting_xi))
+    assert sequence("xi", 3) == [1, 2, 5] and calls == [1, 2, 3]
+    calls.clear()
+    with pytest.raises(LimitError):
+        sequence("xi", 10**20)
+    assert calls == []
 
 
 def test_audit_outcomes():
