@@ -15,15 +15,17 @@ lock and never observe a half-built column.
 Column 0 grows by the three-term recurrence of Donaghey and Shapiro.
 Column d is built from columns d-1 and d-2 by T(m, d) = T(m+1, d-1) -
 T(m, d-1) - T(m, d-2), which needs each lower column one entry further
-than the one above it.  ``_rank_terms``, the one sum of rank terms (for
-``rank``, the nav moves' verified deltas and the landmark checks), and
-``unrank`` walk a word reading column d only once its depth reaches
-d - 1, and from then on only at fewer remaining symbols than at that
-moment, so a word of greatest depth h grows columns 0 .. h + 1 and each
-only as far as the walk first needs it.
+than the one above it.  Only two walks read the table, both here:
+``_rank_terms``, the one sum of rank terms (for ``rank``, the nav moves'
+verified deltas and the landmark checks), and ``_unrank_text``, the same
+walk run backwards.  Each grows column d + 2 through m - 2 for m symbols
+from depth d, then column h + 1 through m - 1 only on reaching a new
+greatest depth h with m symbols left: a word of greatest depth h grows
+columns 0 .. h + 1, each only as far as the walk first needs it.
 """
 
 import threading
+from bisect import bisect_right
 from operator import sub
 
 from .errors import ArgumentError
@@ -135,8 +137,7 @@ def _rank_terms(text, hi, lo, depth):
     A "(" at position p with depth d left of it adds T(p-1, d), a ")"
     adds T(p-1, d) + T(p-1, d+1) (the words with a smaller symbol there)
     and a "0" adds nothing.  Column depth + 2 through hi - 2 covers every
-    read until the walk first reaches a depth h > depth + 1 with m symbols
-    left; then it grows column h + 1 through m - 1."""
+    read until the walk first reaches a new greatest depth."""
     columns = completion_columns(depth + 2, hi - 2)
     deepest = depth + 1
     total = 0
@@ -155,3 +156,35 @@ def _rank_terms(text, hi, lo, depth):
             total += columns[depth][m] + columns[depth + 1][m]
             depth -= 1
     return total
+
+
+def _unrank_text(i, top):
+    """Text of the word of rank i >= 1, or None past length top: bisect
+    column 0 for the length, then walk ``_rank_terms`` backwards, taking
+    the smallest symbol whose completion count covers what is left of i."""
+    ms = completion_columns(0, top)[0]
+    n = bisect_right(ms, i, 1, top + 1)
+    if n > top:
+        return None
+    local = i - ms[n - 1]
+    columns = completion_columns(2, n - 2)
+    chars = ["("]
+    depth = deepest = 1
+    for m in range(n - 2, -1, -1):
+        c = columns[depth][m]
+        if local < c:
+            chars.append("0")
+            continue
+        local -= c
+        c = columns[depth + 1][m]
+        if local < c:
+            chars.append("(")
+            depth += 1
+            if depth > deepest:
+                deepest = depth
+                completion_columns(depth + 1, m - 1)
+            continue
+        local -= c
+        chars.append(")")
+        depth -= 1
+    return "".join(chars)

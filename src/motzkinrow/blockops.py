@@ -73,12 +73,10 @@ def sub(x, y) -> MotzkinWord:
             f"{y.text!r} is not included in {x.text!r}; their difference "
             "is undefined"
         )
-    nx = len(x)
-    chars = list(x.text)
-    for b in outer_blocks(y):
-        for i in range(nx - b.open_pos, nx - b.close_pos + 1):
-            chars[i] = "0"
-    return MotzkinWord._trusted("".join(chars).lstrip("0") or "0")
+    # y's blocks are x's own, so keep x's symbols where y reads a zero
+    ty = y.text.rjust(len(x), "0")
+    kept = "".join(a if b == "0" else "0" for a, b in zip(x.text, ty))
+    return MotzkinWord._trusted(kept.lstrip("0") or "0")
 
 
 def decompose_sum(w) -> tuple[list[MotzkinWord], int]:

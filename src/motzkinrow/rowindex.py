@@ -5,27 +5,21 @@ under 0 < ( < ).  The rank of a word is its 0-based position in that
 order; the words of length n occupy the index interval
 [motzkin(n-1), motzkin(n)).
 
-Ranking walks the word left to right and, at every position, adds the
-number of admissible completions for each strictly smaller symbol choice:
-``bigcomb._rank_terms``, which also sums the nav moves' verified deltas.
-Unranking runs the same walk in reverse, always taking the smallest symbol
-whose completion count still covers the remaining offset, after finding
-the length by bisecting column 0, the Motzkin numbers; it reads the
-columns of the one ``bigcomb`` table itself.  Only when a walk reaches a
-new greatest depth h with m symbols left does it ask for column h + 1
-through m - 1, so a word of greatest depth h grows columns 0 .. h + 1.
-The neighbor functions do NOT use those counts at all: they rewrite one
-symbol and refill the tail directly, which keeps them an independent
-cross-check on rank/unrank.  A tail of m symbols that
-starts at depth d is smallest as ``"0"*(m-d) + ")"*d`` (zeros, then the
-closing brackets) and largest as ``")"*d + "()"*((m-d)//2) + "0"*((m-d)%2)``
-(the closing brackets first, then adjacent pairs and at most one zero).
+Rank and unrank are the two walks of ``bigcomb`` over its counting table:
+``_rank_terms`` adds, at every position, the number of admissible
+completions for each strictly smaller symbol choice (it also sums the nav
+moves' verified deltas), and ``_unrank_text`` runs that walk backwards,
+always taking the smallest symbol whose completion count still covers the
+remaining offset.  The neighbor functions do NOT use those counts at all:
+they rewrite one symbol and refill the tail directly, which keeps them an
+independent cross-check on rank/unrank.  A tail of m symbols that starts
+at depth d is smallest as ``"0"*(m-d) + ")"*d`` (zeros, then the closing
+brackets) and largest as ``")"*d + "()"*((m-d)//2) + "0"*((m-d)%2)`` (the
+closing brackets first, then adjacent pairs and at most one zero).
 """
 
-from bisect import bisect_right
-
 from . import config
-from .bigcomb import _rank_terms, completion_columns, motzkin
+from .bigcomb import _rank_terms, _unrank_text, motzkin
 from .errors import ArgumentError, LimitError, UnderflowError
 from .word import MotzkinWord, as_word, check_length
 
@@ -58,44 +52,18 @@ def unrank(i: int) -> MotzkinWord:
     # M[n] >= M[n-1] + 2 M[n-2] >= 2^(n-1), so an index below 2^b lies in
     # a range no longer than b + 1
     top = min(i.bit_length() + 1, config.max_word_length())
-    ms = completion_columns(0, top)[0]
-    n = bisect_right(ms, i, 1, top + 1)
-    if n > top:  # then top is the limit
+    text = _unrank_text(i, top)
+    if text is None:  # then top is the limit
         shown = i if i.bit_length() <= 64 else f"of {i.bit_length()} bits"
         raise LimitError(f"index {shown} needs a word longer than the "
                          f"configured maximum {top}")
-    local = i - ms[n - 1]
-    columns = completion_columns(2, n - 2)
-    chars = ["("]
-    depth = deepest = 1
-    for m in range(n - 2, -1, -1):
-        c = columns[depth][m]
-        if local < c:
-            chars.append("0")
-            continue
-        local -= c
-        c = columns[depth + 1][m]
-        if local < c:
-            chars.append("(")
-            depth += 1
-            if depth > deepest:
-                deepest = depth
-                completion_columns(depth + 1, m - 1)
-            continue
-        local -= c
-        chars.append(")")
-        depth -= 1
-    return MotzkinWord._trusted("".join(chars))
+    return MotzkinWord._trusted(text)
 
 
 def successor(w) -> MotzkinWord:
     """The next word in the row; the top of a range rolls over to the
     all-zero block that opens the next range."""
-    w = as_word(w)
-    if w.is_zero:
-        check_length(2)
-        return MotzkinWord._trusted("()")
-    text = w.text
+    text = as_word(w).text
     n = len(text)
     d = 0
     # Right to left, find the first symbol replaceable by a larger one; d
@@ -119,12 +87,9 @@ def successor(w) -> MotzkinWord:
 
 def predecessor(w) -> MotzkinWord:
     """The previous word in the row."""
-    w = as_word(w)
-    if w.is_zero:
+    text = as_word(w).text
+    if text == "0":
         raise UnderflowError('"0" is the first word of the row')
-    if w.text == "()":
-        return MotzkinWord._trusted("0")
-    text = w.text
     n = len(text)
     d = 0
     for i in range(n - 1, 0, -1):

@@ -338,7 +338,19 @@ def _check_range(n: int) -> None:
 
 
 def enumerate_range(n: int) -> list[MotzkinWord]:
-    """All canonical n-words in row order, built from lists of tails.
+    """All canonical n-words in row order, from ``_range_texts``.  Serves
+    as the oracle for rank/unrank: it reads no count and calls neither."""
+    _check_range(n)
+    texts = _range_texts(n)
+    # wrap in one pass, setting each fresh word's text slot directly
+    words = list(map(object.__new__, [MotzkinWord] * len(texts)))
+    for _ in map(MotzkinWord.text.__set__, words, texts):
+        pass
+    return words
+
+
+def _range_texts(n: int) -> list[str]:
+    """The texts of the canonical n-words in row order, from lists of tails.
 
     ``tails[d]`` holds, in row order, every string of length m that
     starts at depth d, never dips below depth 0 and ends there (row m of
@@ -348,26 +360,18 @@ def enumerate_range(n: int) -> list[MotzkinWord]:
     sort.  The range is "(" followed by the (n-1)-tails from depth 1,
     which are the last step's "0" + tails[1], "(" + tails[2] and
     ")" + tails[0]; no depth above min(m, n-m) reaches them, so none is
-    built.  Serves as the oracle for rank/unrank: it reads no count and
-    calls neither.
+    built.  Freeing the tails before any word is made keeps the peak down.
     """
-    _check_range(n)
     if n == 1:
-        return [MotzkinWord._trusted("0")]
+        return ["0"]
     # two empty lists past the deepest, which depth -1 also reads
     tails = [[""], [], []]
     for m in range(1, n - 1):
         tails = [[ch + t for ch, d2 in (("0", d), ("(", d + 1), (")", d - 1))
                   for t in tails[d2]]
                  for d in range(min(m, n - m) + 1)] + [[], []]
-    texts = [head + t for head, d in (("(0", 1), ("((", 2), ("()", 0))
-             for t in tails[d]]
-    del tails  # before the words are made, which keeps the peak down
-    # wrap in one pass, setting each fresh word's text slot directly
-    words = list(map(object.__new__, [MotzkinWord] * len(texts)))
-    for _ in map(MotzkinWord.text.__set__, words, texts):
-        pass
-    return words
+    return [head + t for head, d in (("(0", 1), ("((", 2), ("()", 0))
+            for t in tails[d]]
 
 
 def regenerate_addendum(max_range: int) -> str:
@@ -376,7 +380,7 @@ def regenerate_addendum(max_range: int) -> str:
     _check_range(max_range)
     words = []
     for n in range(1, max_range + 1):
-        words.extend(w.text for w in enumerate_range(n))
+        words.extend(_range_texts(n))
     width = max(3, len(str(len(words) - 1)))
     lines = []
     for start in range(0, len(words), 9):

@@ -8,7 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import motzkinrow.bigcomb as bigcomb
-from motzkinrow import ArgumentError, completions, motzkin, unique_count
+from motzkinrow import (ArgumentError, completions, motzkin, rank, successor,
+                        unique_count, unrank)
 
 MOTZKIN_PREFIX = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835]
 UNIQUE_PREFIX = [1, 1, 2, 5, 12, 30, 76, 196, 512, 1353, 3610, 9713, 26324,
@@ -265,3 +266,50 @@ def test_tables_survive_concurrent_growth(fresh_tables, triangle,
         assert value == tri[m][d], (m, d)
     assert completions(120, 0) == motzkin(120)
     assert max(depths) > 100
+
+
+def test_rank_and_unrank_survive_concurrent_growth(fresh_tables, triangle):
+    # a walk grows a column each time it reaches a new greatest depth, so
+    # deep words walked at once grow the table mid-walk from many threads,
+    # with frequent thread switches; every walk must still be exact, and
+    # the published columns too.  Each word's index comes from the test's
+    # own triangle, so unrank walks first, on a table it grows itself
+    tri = triangle(512)  # the size tests/test_rowindex.py also builds
+    rng = random.Random(25)
+    words = []
+    for n in range(60, 401, 20):
+        words.append("(" * (n // 2) + ")" * (n // 2))
+        chars = list("(" * (n // 3) + ")" * (n // 3))
+        for _ in range(n - len(chars)):  # zeros anywhere past the first "("
+            chars.insert(rng.randrange(1, len(chars) + 1), "0")
+        words.append("".join(chars))
+    rng.shuffle(words)
+
+    def local_rank(w):
+        # T(m, d) for each "(" and T(m, d) + T(m, d+1) for each ")", with
+        # m symbols right of it and depth d left of it; the leading "("
+        # adds T(n-1, 0) = M[n-1], the words of the shorter ranges
+        n, total, depth = len(w), 0, 0
+        for m, ch in zip(range(n - 1, -1, -1), w):
+            if ch == "(":
+                total += tri[m][depth]
+                depth += 1
+            elif ch == ")":
+                total += tri[m][depth] + tri[m][depth + 1]
+                depth -= 1
+        return total
+
+    def round_trips(w):
+        i = local_rank(w)
+        return (unrank(i).text == w and rank(w) == i
+                and rank(successor(w)) == i + 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(round_trips, words))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(results)
+    assert _published_frontier(tri, 512) > 200

@@ -1,8 +1,10 @@
 """What the package loads: the CLI imports only the modules a verb calls,
 and the package surface resolves its names on first use."""
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +68,16 @@ def test_the_oracle_loads_no_counting_table_rank_move_or_audit():
     assert "motzkinrow.word" in modules
     assert not {f"motzkinrow.{m}" for m in (
         "bigcomb", "rowindex", "nav", "blockops", "verify")} & modules
+
+
+def test_only_bigcomb_reads_the_counting_table():
+    # the table's layout and growth rule are private to one module, so a
+    # change to how it counts (a cap, a walk past a depth) is made there
+    table = re.compile(r"\bcompletion_columns\b|\b_columns\b")
+    readers = [path.name for path in
+               sorted(Path(motzkinrow.__file__).parent.glob("*.py"))
+               if table.search(path.read_text())]
+    assert readers == ["bigcomb.py"]
 
 
 def test_star_import_binds_exactly_all():
