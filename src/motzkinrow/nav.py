@@ -25,13 +25,14 @@ mismatch raises PolynomialMismatchError.  The merge/split family is only
 conjectured and the zero-gap swap's site independence is only audited, so
 there a mismatch is data for the caller, not an error.
 
-Each public move runs ``_move``: ``as_word``, then its core (its name
-with a leading underscore; merge_adjacent and swap_across_zero share
-``_fuse``), then the rank-difference report.  The core runs the site
-checks and the rewrite and returns (after, predicted, site), reading xi,
-zeta and psi through the guard-free ``_xi``, ``_zeta`` and ``_psi``: a
-host word is already within the length limit.  The audits run the cores,
-report-free.
+Each family's facts are one row of the move-shape table ``_SHAPES``: the
+symbols it reads, the depth left of them, the two symbols it writes and
+its prediction, which reads xi, zeta and psi through the guard-free
+``_xi``, ``_zeta`` and ``_psi`` (a host word is already within the length
+limit).  A public move runs ``as_word`` and its site checks, then
+``_move`` applies its row through the text splice ``_splice``.  The nav
+audits find their sites by the same rows and run the same splice and
+predictions, without the site checks.
 
 ``sequence`` lists the first terms of xi, of zeta on adjacent positions
 and of psi, and the Motzkin and unique counts, for the ``seq`` verb.
@@ -153,6 +154,33 @@ def sequence(name: str, count: int) -> list[int]:
     return [term(k) for k in range(first, last + 1)]
 
 
+# Every move rewrites two positions p > q with only zeros between them.  A
+# row is (the symbols from p to q, "*" for any run of zeros; the depth left
+# of p; the symbols written at p and q; the predicted delta from (p, q);
+# the public move and its arguments from (p, q)).  Positions past the left
+# end read as zeros at depth 0.
+_SHAPES = {
+    "open_right": ("(*0", 0, "0(", lambda p, q: motzkin(q - 1) - motzkin(p - 1),
+                   "shift_open", lambda p, q: (p, q - p)),
+    "open_left": ("0*(", 0, "(0", lambda p, q: motzkin(p - 1) - motzkin(q - 1),
+                  "shift_open", lambda p, q: (q, p - q)),
+    "close_left": ("0)", 1, ")0", lambda p, q: _xi(q),
+                   "shift_close", lambda p, q: (q, "left")),
+    "close_right": (")0", 1, "0)", lambda p, q: -_xi(q),
+                    "shift_close", lambda p, q: (p, "right")),
+    "remove_pair": (")*(", 1, "00", lambda p, q: -_zeta(q, p),
+                    "remove_pair", lambda p, q: (q, p)),
+    "insert_pair": ("0*0", 1, ")(", lambda p, q: _zeta(q, p),
+                    "insert_pair", lambda p, q: (q, p)),
+    "merge_adjacent": (")(", 1, "()", lambda p, q: -motzkin(q),
+                       "merge_adjacent", lambda p, q: (q,)),
+    "split_block": ("()", 1, ")(", lambda p, q: motzkin(q),
+                    "split_block", lambda p, q: (q,)),
+    "swap_across_zero": (")0(", 1, "()", lambda p, q: -_psi(q),
+                         "swap_across_zero", lambda p, q: (q,)),
+}
+
+
 def _check_outer_bracket(w: MotzkinWord, k: int, side: str) -> None:
     """Raise SiteError unless position k holds the opening (side "open")
     or closing (side "close") bracket of an outer block: a '(' with depth
@@ -167,33 +195,33 @@ def _check_outer_bracket(w: MotzkinWord, k: int, side: str) -> None:
         )
 
 
-def _rewrite(w: MotzkinWord, p: int, a: str, q: int, b: str) -> MotzkinWord:
-    """Copy w with a spliced in at position p and b at position q != p.
+def _splice(text: str, p: int, q: int, written: str) -> str:
+    """text with written[0] spliced in at position p and written[1] at
+    position q < p.
 
     The bracket scan is the safety net: a bad site the site checks let
     through raises ValidityError.  It reads the whole word, since a scan of
     the span alone would trust the depths left of it, which the site checks
-    read.  Only a rewrite past the left end, which grows the word, reads
+    read.  Only a splice past the left end, which grows the word, reads
     the length limit, before the text is padded out to it."""
-    if p < q:
-        p, a, q, b = q, b, p, a
-    if p > len(w.text):
+    if p > len(text):
         check_length(p)
-    text = w.text.rjust(p, "0")
-    n = len(text)
-    text = (text[: n - p] + a + text[n - p + 1 : n - q] + b
-            + text[n - q + 1 :]).lstrip("0") or "0"
+    padded = text.rjust(p, "0")
+    n = len(padded)
+    out = (f"{padded[:n - p]}{written[0]}{padded[n - p + 1:n - q]}"
+           f"{written[1]}{padded[n - q + 1:]}").lstrip("0") or "0"
     try:
-        _scan(text)
+        _scan(out)
     except WordError as exc:
-        raise ValidityError(f"rewrite of {w.text!r} is not a valid word: {exc}")
-    return MotzkinWord._trusted(text)
+        raise ValidityError(f"rewrite of {text!r} is not a valid word: {exc}")
+    return out
 
 
-def _move(core, w, *args, proven=True) -> DeltaReport:
-    """Run core on w as a word, then pair its predicted delta with the rank
-    difference, summed over the touched positions.  A proven prediction
-    that disagrees raises; an unproven one is reportable data.
+def _move(w, shape, p, q, proven=True) -> DeltaReport:
+    """Splice the shape's row into the word w at p >= q (p == q only for a
+    zero shift_open drift, which writes nothing) and pair the row's
+    prediction with the rank difference, summed over the touched positions:
+    a proven one that disagrees raises, an unproven one is reportable data.
 
     Every rank term depends only on its position, its symbol and the depth
     left of it (see ``bigcomb._rank_terms``), and every move leaves the
@@ -203,20 +231,18 @@ def _move(core, w, *args, proven=True) -> DeltaReport:
     special case.  So rank(after) - rank(before) is the difference of the
     two span sums.
     """
-    before = as_word(w)
-    after, predicted, site = core(before, *args)
-    hi, lo = site[0], site[-1]
-    depth = _depth_left(before.text, hi)
-    verified = (_rank_terms(after.text, hi, lo, depth)
-                - _rank_terms(before.text, hi, lo, depth))
-    report = DeltaReport(before, after, predicted, verified, site)
-    if proven and predicted != verified:
+    symbols, _, written, predict, _, _ = _SHAPES[shape]
+    text = _splice(w.text, p, q, written) if p > q else w.text
+    # the site is every position of a fixed shape, the two ends of a run
+    site = (p, q) if "*" in symbols else tuple(range(p, q - 1, -1))
+    depth = _depth_left(w.text, p)
+    verified = _rank_terms(text, p, q, depth) - _rank_terms(w.text, p, q, depth)
+    report = DeltaReport(w, MotzkinWord._trusted(text), predict(p, q),
+                         verified, site)
+    if proven and report.predicted_delta != verified:
         raise PolynomialMismatchError(
             f"proven delta {report.predicted_delta} disagrees with rank "
-            f"difference {report.verified_delta} on {before.text!r} at "
-            f"site {site}",
-            report,
-        )
+            f"difference {verified} on {w.text!r} at site {site}", report)
     return report
 
 
@@ -227,10 +253,7 @@ def shift_open(w, k: int, j: int) -> DeltaReport:
     Leftward moves may run into virtual leading zeros and grow the word;
     rightward moves stay inside the block.  Delta: M[k-1+j] - M[k-1].
     """
-    return _move(_shift_open, w, k, j)
-
-
-def _shift_open(w, k, j):
+    w = as_word(w)
     _check_outer_bracket(w, k, "open")
     if k + j < 1:
         raise ArgumentError(f"target position {k + j} is below 1")
@@ -242,9 +265,8 @@ def _shift_open(w, k, j):
             f"position {p} of {w.text!r} holds {w.text[-p]!r}, blocking the "
             "move"
         )
-    after = _rewrite(w, k, "0", k + j, "(") if j else w
-    predicted = motzkin(k - 1 + j) - motzkin(k - 1)
-    return after, predicted, (max(k, k + j), min(k, k + j))
+    return _move(w, "open_left" if j > 0 else "open_right", max(k, k + j),
+                 min(k, k + j))
 
 
 def shift_close(w, k: int, direction: str) -> DeltaReport:
@@ -254,10 +276,7 @@ def shift_close(w, k: int, direction: str) -> DeltaReport:
     moves out over the depth-0 zero at k-1 (delta -xi(k-1)).  The word's
     length never changes.
     """
-    return _move(_shift_close, w, k, direction)
-
-
-def _shift_close(w, k, direction):
+    w = as_word(w)
     _check_outer_bracket(w, k, "close")
     if direction not in ("left", "right"):
         raise ArgumentError(f"direction must be 'left' or 'right', got {direction!r}")
@@ -266,17 +285,13 @@ def _shift_close(w, k, direction):
         raise ArgumentError("a closing bracket cannot move right of position 1")
     if _at(w.text, q) != "0":
         raise BlockedError(f"position {q} of {w.text!r} is not a zero")
-    predicted = _xi(k) if q > k else -_xi(q)
-    return _rewrite(w, q, ")", k, "0"), predicted, (max(k, q), min(k, q))
+    return _move(w, "close_" + direction, max(k, q), min(k, q))
 
 
 def remove_pair(w, k: int, l: int) -> DeltaReport:
     """Erase the closing bracket at l and the opening bracket at k of two
     neighboring outer blocks, joining them; delta -zeta(k, l)."""
-    return _move(_remove_pair, w, k, l)
-
-
-def _remove_pair(w, k, l):
+    w = as_word(w)
     if not l > k >= 2:
         raise ArgumentError(f"remove_pair needs l > k >= 2, got ({k}, {l})")
     _check_outer_bracket(w, l, "close")
@@ -286,28 +301,23 @@ def _remove_pair(w, k, l):
             f"the zone between positions {l} and {k} of {w.text!r} "
             "is not all zeros"
         )
-    return _rewrite(w, l, "0", k, "0"), -_zeta(k, l), (l, k)
+    return _move(w, "remove_pair", l, k)
 
 
 def insert_pair(w, k: int, l: int) -> DeltaReport:
     """Write a close bracket at l and an open bracket at k inside a
     block's depth-1 zero zone, splitting the block; delta +zeta(k, l)."""
-    return _move(_insert_pair, w, k, l)
-
-
-def _insert_pair(w, k, l):
+    w = as_word(w)
     if not l > k >= 2:
         raise ArgumentError(f"insert_pair needs l > k >= 2, got ({k}, {l})")
     if w.text[-l : 1 - k].strip("0"):
-        raise SiteError(
-            f"positions {l}..{k} of {w.text!r} are not all zeros"
-        )
+        raise SiteError(f"positions {l}..{k} of {w.text!r} are not all zeros")
     if _depth_left(w.text, l) != 1:
         raise SiteError(
             f"positions {l}..{k} of {w.text!r} do not lie directly inside "
             "an outer block"
         )
-    return _rewrite(w, l, ")", k, "("), _zeta(k, l), (l, k)
+    return _move(w, "insert_pair", l, k)
 
 
 def merge_adjacent(w, k: int) -> DeltaReport:
@@ -317,17 +327,14 @@ def merge_adjacent(w, k: int) -> DeltaReport:
     The predicted delta -M[k] rests on a conjecture, so the report's
     verified delta is the authority; callers can compare the two.
     """
-    return _move(_fuse, w, k, 0, proven=False)
+    return _fuse(as_word(w), k, 0)
 
 
 def split_block(w, k: int) -> DeltaReport:
     """Inverse of merge_adjacent: an adjacent bracket pair sitting at
     depth 1 inside an outer block swaps into two touching blocks;
     conjectured delta +M[k]."""
-    return _move(_split_block, w, k, proven=False)
-
-
-def _split_block(w, k):
+    w = as_word(w)
     if _at(w.text, k + 1) != "(" or _at(w.text, k) != ")":
         raise SiteError(
             f"positions {k + 1}, {k} of {w.text!r} are not an adjacent "
@@ -338,7 +345,7 @@ def _split_block(w, k):
             f"the pair at positions {k + 1}, {k} of {w.text!r} is not "
             "directly inside an outer block"
         )
-    return _rewrite(w, k + 1, ")", k, "("), motzkin(k), (k + 1, k)
+    return _move(w, "split_block", k + 1, k, proven=False)
 
 
 def swap_across_zero(w, k: int) -> DeltaReport:
@@ -351,19 +358,19 @@ def swap_across_zero(w, k: int) -> DeltaReport:
     difference, summed over the touched positions, is reported, not
     raised.
     """
-    return _move(_fuse, w, k, 1, proven=False)
+    return _fuse(as_word(w), k, 1)
 
 
 def _fuse(w, k, gap):
-    """Core of merge_adjacent (gap 0) and swap_across_zero (gap 1): swap
-    the close bracket at k+1+gap, gap zeros left of the open one at k."""
+    """Site checks of merge_adjacent (gap 0) and swap_across_zero (gap 1):
+    a close bracket at k+1+gap, gap zeros left of the open one at k."""
     p = k + 1 + gap
     _check_outer_bracket(w, p, "close")
     if gap and _at(w.text, k + 1) != "0":
         raise SiteError(f"position {k + 1} of {w.text!r} is not a zero")
     _check_outer_bracket(w, k, "open")
-    return (_rewrite(w, p, "(", k, ")"), -_psi(k) if gap else -motzkin(k),
-            tuple(range(p, k - 1, -1)))
+    return _move(w, ("merge_adjacent", "swap_across_zero")[gap], p, k,
+                 proven=False)
 
 
 # psi enters the nested_block polynomial because that landmark is reached

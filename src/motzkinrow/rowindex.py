@@ -49,10 +49,14 @@ def unrank(i: int) -> MotzkinWord:
         raise ArgumentError(f"indexes are nonnegative, got {i}")
     if i == 0:
         return MotzkinWord._trusted("0")
-    # M[n] >= M[n-1] + 2 M[n-2] >= 2^(n-1), so an index below 2^b lies in
-    # a range no longer than b + 1
-    top = min(i.bit_length() + 1, config.max_word_length())
-    text = _unrank_text(i, top)
+    # M[n] ~ 3^n / n^1.5 puts an index below 2^b, t = b log3(2), in a range
+    # near t + 1.5 log3(t), just under t + log2(t) + 2; past that estimate
+    # the search grows only when it runs off the end, never past the limit
+    limit = config.max_word_length()
+    t = int(i.bit_length() * 0.6309297535714574)
+    top = min(t + t.bit_length() + 2, limit)
+    while (text := _unrank_text(i, top)) is None and top < limit:
+        top = min(2 * top, limit)
     if text is None:  # then top is the limit
         shown = i if i.bit_length() <= 64 else f"of {i.bit_length()} bits"
         raise LimitError(f"index {shown} needs a word longer than the "

@@ -1,16 +1,14 @@
 """Batch audits of the row arithmetic against the enumerator oracle.
 
 Audits run a named exhaustive check over bounded ranges and return a
-structured report.  Every per-word check is a probe: a generator that
-yields one (site, predicted, verified) triple per checked site, driven by
-one loop over the words of ``word.enumerate_range``, their positions and
-the range's {text: position} index; a site's label is formatted only for
-a counterexample.  The nav probes and the replay of the recorded worked
-examples are rows of data, each read by one loop: ``_sites`` matches a
-word's depth profile against a check's move shapes, whose report-free
-move cores then run against the oracle's positions (and rank, for a
-shift_open that changes the word's length), and ``_examples`` lists the
-paper's cases.  Checks backed by proofs are expected to pass; the
+structured report; a site's label is formatted only for a
+counterexample.  The rank probes are generators over the words of
+``word.enumerate_range``.  The nav checks read rows of ``nav``'s
+move-shape table: ``_sites`` matches a word's depth profile against them,
+and ``_run_nav`` runs nav's splice and each row's prediction on the text,
+against the oracle's positions (and rank, for a shift_open that changes
+the word's length).  ``_examples`` lists the paper's worked cases, read
+by one loop.  Checks backed by proofs are expected to pass; the
 conjectured ones (block merge deltas, zero-gap swap site-independence)
 report counterexamples as data instead of asserting, so a scope extension
 can never crash the harness, only change the report.
@@ -24,10 +22,10 @@ from . import nav
 from .blockops import add, decompose_sum, sub
 from .errors import (ArgumentError, LimitError, PolynomialMismatchError,
                      UnknownCheckError)
-from .nav import DeltaReport, control_points
+from .nav import _SHAPES, DeltaReport, _splice, control_points
 from .rowindex import compare, range_min, rank, unrank
-from .word import (_Value, _check_range, check_length, decompose,
-                   enumerate_range)
+from .word import (MotzkinWord, _check_range, _range_texts, _Value,
+                   check_length, decompose, enumerate_range)
 
 
 class Counterexample(_Value):
@@ -47,105 +45,99 @@ class AuditReport(_Value):
         self.__setstate__((check_name, scope, outcome, counterexamples, counts))
 
 
-# ---------------------------------------------------------------------------
-# per-check workers; each takes one unit of work (usually a range number)
-# and returns (items_checked, [(word, site, predicted, verified)]) so that
-# units can be farmed out to processes and merged deterministically.
-# ---------------------------------------------------------------------------
+# Per-check workers take one unit of work (usually a range number) and
+# return (items_checked, [(word, site, predicted, verified)]), so that units
+# can be farmed out to processes and merged deterministically.
 
 
 def _run_words(probe, n):
-    """Run probe(word, i, index) over the n-range in row order, with i the
-    word's oracle position and index the range's {text: position}, built
-    once from the enumerator.  Each ((label, arguments), predicted,
-    verified) triple a probe yields is one check; one whose values differ
-    is a counterexample, its site the label formatted with the arguments."""
-    count = 0
-    bad = []
-    words, base = enumerate_range(n), range_min(n)[1]
-    index = {w.text: i for i, w in enumerate(words, base)}
-    for i, w in enumerate(words, base):
-        for (label, args), predicted, verified in probe(w, i, index):
+    """Run probe(word, i) over the n-range in row order, i the word's oracle
+    position.  Each ((label, arguments), predicted, verified) it yields is
+    one check, a counterexample when the two differ, at the label's site."""
+    count, bad = 0, []
+    for i, w in enumerate(enumerate_range(n), range_min(n)[1]):
+        for (label, args), predicted, verified in probe(w, i):
             count += 1
             if predicted != verified:
                 bad.append((w.text, label.format(*args), predicted, verified))
     return count, bad
 
 
-# --- probes: one generator of (site, predicted, verified) per check --------
-
-
-def _rank_roundtrip(w, i, index):
+def _rank_roundtrip(w, i):
     back = unrank(i)
     yield ("unrank({})={}", (i, back.text)), i, (i if back == w else None)
     yield ("rank", ()), i, rank(w)
 
 
-def _theorem_2_4(w, i, index):
+def _theorem_2_4(w, i):
     yield ("block-sum", ()), sum(rank(p) for p in decompose(w)), rank(w)
 
 
-# The move shapes of the nav checks: every nav family rewrites two positions
-# p > q of a word with only zeros between them.  A row is (the symbols from
-# p to q, "*" for any run of zeros, the depth left of p, the move's core,
-# its arguments after the word from (p, q), the site's label format).
-# Positions past the left end read as zeros at depth 0.
-_OPEN, _CLOSE = "open k={} j={:+d}", "close k={} {}"
-_MOVE_SHAPES = {
-    "corollary_3_1": (
-        ("(*0", 0, nav._shift_open, lambda p, q: (p, q - p), _OPEN),
-        ("0*(", 0, nav._shift_open, lambda p, q: (q, p - q), _OPEN)),
-    "corollary_3_3": (
-        ("0)", 1, nav._shift_close, lambda p, q: (q, "left"), _CLOSE),
-        (")0", 1, nav._shift_close, lambda p, q: (p, "right"), _CLOSE)),
-    "corollary_4_1": (
-        (")*(", 1, nav._remove_pair, lambda p, q: (q, p), "remove ({},{})"),
-        ("0*0", 1, nav._insert_pair, lambda p, q: (q, p), "insert ({},{})")),
-    "conjecture_4_3": ((")(", 1, nav._fuse, lambda p, q: (q, 0), "merge k={}"),),
-    "psi_site_independence": ((")0(", 1, nav._fuse, lambda p, q: (q, 1), "swap k={}"),),
+# check: (kind, first range, the rows of nav's move-shape table it reads);
+# a site's label shows the public move's arguments
+_NAV_CHECKS = {
+    "corollary_3_1": ("theorem", 2, ("open_right", "open_left")),
+    "corollary_3_3": ("theorem", 3, ("close_left", "close_right")),
+    "corollary_4_1": ("theorem", 4, ("remove_pair", "insert_pair")),
+    "conjecture_4_3": ("conjecture", 4, ("merge_adjacent",)),
+    "psi_site_independence": ("conjecture", 5, ("swap_across_zero",)),
 }
+_LABELS = {"shift_open": "open k={} j={:+d}", "shift_close": "close k={} {}",
+           "remove_pair": "remove ({},{})", "insert_pair": "insert ({},{})",
+           "merge_adjacent": "merge k={}", "swap_across_zero": "swap k={}"}
 _DEPTH_STEP = {"0": 0, "(": 1, ")": -1}
 
 
 def _sites(check, text):
-    """Every site of a word's text that matches one of the check's move
-    shapes, as (core, label format, arguments).  One depth profile is read,
-    with two virtual zeros left of the text."""
+    """Every site of a word's text that matches one of the check's rows,
+    as (row, p, q).  One depth profile is read, with two virtual zeros
+    left of the text."""
     text = "00" + text
     n = len(text)
     depth = [0, *accumulate(map(_DEPTH_STEP.__getitem__, text))]
-    for shape, depth_p, core, args, label in _MOVE_SHAPES[check]:
+    for name in _NAV_CHECKS[check][2]:
+        row = _SHAPES[name]
+        shape, depth_p = row[0], row[1]
         # a shape without a run of zeros is one substring
         find = shape[0] if "*" in shape else shape
         a = text.find(find)
         while a >= 0:
             if depth[a] == depth_p and find == shape:
-                yield core, label, args(n - a, n - a - len(shape) + 1)
+                yield row, n - a, n - a - len(shape) + 1
             elif depth[a] == depth_p:
                 for b in range(a + 1, n):  # the zeros right of p, then q
                     if text[b] == shape[-1]:
-                        yield core, label, args(n - a, n - b)
+                        yield row, n - a, n - b
                     if text[b] != "0":
                         break
             a = text.find(find, a + 1)
 
 
-def _nav_sites(check, w, i, index):
-    """Run the report-free move core of every site of w that the check's
-    shapes match.  The verified delta is the after-word's position in the
-    range's index minus i; only a shift_open that changes the word's
-    length leaves the range, and there it is rank(after) - i."""
-    for core, label, args in _sites(check, w.text):
-        try:
-            after, predicted, _ = core(w, *args)
-        except LimitError:  # a leading drift past the length limit
-            continue
-        j = index.get(after.text)
-        yield (label, args), predicted, (rank(after) if j is None else j) - i
-
-
-def _nav_probe(check):
-    return partial(_run_words, partial(_nav_sites, check))
+def _run_nav(check, n):
+    """Check every site of every n-word that the check's rows match: the
+    row's splice and prediction, against the after-text's position in the
+    range's {text: position} index minus the word's.  Only a shift_open
+    that changes the word's length leaves the range, and there the
+    verified delta is rank(after) - i; a drift past the length limit is
+    no site.  A site's label is formatted only for a counterexample."""
+    count, bad = 0, []
+    texts, base = _range_texts(n), range_min(n)[1]
+    index = {text: i for i, text in enumerate(texts, base)}
+    for i, text in enumerate(texts, base):
+        for (_, _, written, predict, move, args), p, q in _sites(check, text):
+            try:
+                after = _splice(text, p, q, written)
+            except LimitError:
+                continue
+            predicted = predict(p, q)
+            j = index.get(after)
+            if j is None:
+                j = rank(MotzkinWord._trusted(after))
+            count += 1
+            if predicted != j - i:
+                site = _LABELS[move].format(*args(p, q))
+                bad.append((text, site, predicted, j - i))
+    return count, bad
 
 
 def _run_order_agreement(scope):
@@ -297,17 +289,13 @@ def _run_paper_examples(scope):
 # (kind, runner, first range, unit); kind decides the passing outcome label.
 # A runner takes one range (unit "range") or the whole scope at once (unit
 # "scope").  The first range is the smallest with a site to check, so no
-# accepted scope passes vacuously.
+# accepted scope passes vacuously.  The nav checks are _NAV_CHECKS' rows.
 _CHECKS = {
     "rank_roundtrip": ("theorem", partial(_run_words, _rank_roundtrip), 1, "range"),
     "order_agreement": ("theorem", _run_order_agreement, 1, "scope"),
     "theorem_2_4": ("theorem", partial(_run_words, _theorem_2_4), 2, "range"),
-    "corollary_3_1": ("theorem", _nav_probe("corollary_3_1"), 2, "range"),
-    "corollary_3_3": ("theorem", _nav_probe("corollary_3_3"), 3, "range"),
-    "corollary_4_1": ("theorem", _nav_probe("corollary_4_1"), 4, "range"),
-    "conjecture_4_3": ("conjecture", _nav_probe("conjecture_4_3"), 4, "range"),
-    "psi_site_independence": ("conjecture",
-                              _nav_probe("psi_site_independence"), 5, "range"),
+    **{check: (kind, partial(_run_nav, check), first, "range")
+       for check, (kind, first, _) in _NAV_CHECKS.items()},
     "table_1": ("theorem", _run_table_1, 5, "range"),
     "paper_examples": ("theorem", _run_paper_examples, 0, "scope"),
 }

@@ -564,14 +564,10 @@ def _move_reports(words, per_family=None):
         i = rank(w)
         count = {}
         for check in SITE_CHECKS:
-            for core, _, args in verify._sites(check, w.text):
-                # the row names the move's core, "_" + the public move's
-                # name, or _fuse with its gap (0 merges, 1 swaps across a
-                # zero); the report is built through the public move
-                name = core.__name__[1:]
-                if name == "fuse":
-                    name = ("merge_adjacent", "swap_across_zero")[args[1]]
-                    args = args[:1]
+            for (*_, name, args), p, q in verify._sites(check, w.text):
+                # the row ends with the public move and its arguments from
+                # the site; the report is built through the public move
+                args = args(p, q)
                 if count.get(name, 0) != per_family:
                     count[name] = count.get(name, 0) + 1
                     try:
@@ -591,6 +587,24 @@ def test_site_sums_equal_rank_differences_on_every_probe(row_through):
     for name, i, rep in reports:
         assert rep.verified_delta == rank(rep.after) - i, (
             name, rep.before.text, rep.site)
+
+
+def test_public_moves_and_nav_audits_read_one_row(row_through):
+    # the move-shape table has two users: each public move, after its site
+    # checks, and the nav audits, after their site finder; at every site
+    # the audits find, both write the same word and predict the same delta
+    from motzkinrow import audit, nav, verify
+
+    sites = 0
+    for w in row_through(8):
+        for check in SITE_CHECKS:
+            for row, p, q in verify._sites(check, w.text):
+                _, _, written, predict, move, args = row
+                rep = getattr(nav, move)(w, *args(p, q))
+                assert rep.after.text == nav._splice(w.text, p, q, written)
+                assert rep.predicted_delta == predict(p, q)
+                sites += 1
+    assert sites == sum(audit(check, 8).counts for check in SITE_CHECKS)
 
 
 def _random_blocks(rng, n):

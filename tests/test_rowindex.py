@@ -281,6 +281,41 @@ def test_shallow_long_word_grows_only_the_columns_it_reads():
         0, f"True {deepest + 2}\n", "")
 
 
+def test_unrank_grows_column_0_little_past_its_answer():
+    # the length search starts from M[n] ~ 3^n / n^1.5, not from the index's
+    # bit length, which would grow column 0 to about 1.58 n
+    script = (
+        "import motzkinrow as mz, motzkinrow.bigcomb as b\n"
+        "w = '()' * 1024\n"
+        "print(mz.unrank(mz.rank(w)).text == w, len(b._columns[0]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    found, length = proc.stdout.split()
+    assert found == "True" and 2049 <= int(length) <= 2048 + 16
+
+
+def test_unrank_searches_past_a_short_estimate(monkeypatch):
+    # should the estimate fall short, the search doubles it, up to the limit
+    from motzkinrow import rowindex
+
+    tops = []
+    real = rowindex._unrank_text
+
+    def short_once(i, top):
+        tops.append(top)
+        return None if len(tops) == 1 else real(i, top)
+
+    monkeypatch.setattr(rowindex, "_unrank_text", short_once)
+    assert unrank(motzkin(40) - 1).text == "()" * 20
+    assert tops[1] == 2 * tops[0]
+    tops.clear()
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "60")
+    assert unrank(motzkin(40)).text == "(" + "0" * 39 + ")"
+    assert tops[0] < 60 == tops[1]
+
+
 def test_neighbors_read_no_counts():
     # the neighbours rewrite symbols and refill the tail; they read no
     # completion count, so in a fresh process the table keeps its seed
