@@ -30,9 +30,10 @@ symbols it reads, the depth left of them, the two symbols it writes and
 its prediction, which reads xi, zeta and psi through the guard-free
 ``_xi``, ``_zeta`` and ``_psi`` (a host word is already within the length
 limit).  A public move runs ``as_word`` and its site checks, then
-``_move`` applies its row through the text splice ``_splice``.  The nav
-audits find their sites by the same rows and run the same splice and
-predictions, without the site checks.
+``_move`` applies its row through the text splice ``_splice`` and scans
+the rewrite.  The nav audits find their sites by the same rows and run
+the same splice and predictions, without the site checks; they scan only
+a rewrite that their oracle's index does not hold.
 
 ``sequence`` lists the first terms of xi, of zeta on adjacent positions
 and of psi, and the Motzkin and unique counts, for the ``seq`` verb.
@@ -197,24 +198,23 @@ def _check_outer_bracket(w: MotzkinWord, k: int, side: str) -> None:
 
 def _splice(text: str, p: int, q: int, written: str) -> str:
     """text with written[0] spliced in at position p and written[1] at
-    position q < p.
-
-    The bracket scan is the safety net: a bad site the site checks let
-    through raises ValidityError.  It reads the whole word, since a scan of
-    the span alone would trust the depths left of it, which the site checks
-    read.  Only a splice past the left end, which grows the word, reads
-    the length limit, before the text is padded out to it."""
-    if p > len(text):
-        check_length(p)
+    position q < p: padded with zeros out to p, written and stripped.  The
+    callers read the length limit and check the rewrite (``_checked``)."""
     padded = text.rjust(p, "0")
     n = len(padded)
-    out = (f"{padded[:n - p]}{written[0]}{padded[n - p + 1:n - q]}"
-           f"{written[1]}{padded[n - q + 1:]}").lstrip("0") or "0"
+    return (f"{padded[:n - p]}{written[0]}{padded[n - p + 1:n - q]}"
+            f"{written[1]}{padded[n - q + 1:]}").lstrip("0") or "0"
+
+
+def _checked(text: str, after: str) -> str:
+    """after, the rewrite of text, once scanned: the safety net, where a
+    bad site the site checks let through raises ValidityError.  The whole
+    word is read, as a scan of the span would trust the depths left of it."""
     try:
-        _scan(out)
+        _scan(after)
     except WordError as exc:
         raise ValidityError(f"rewrite of {text!r} is not a valid word: {exc}")
-    return out
+    return after
 
 
 def _move(w, shape, p, q, proven=True) -> DeltaReport:
@@ -229,10 +229,13 @@ def _move(w, shape, p, q, proven=True) -> DeltaReport:
     span, off the site, both words hold zeros.  The leading "(" adds
     T(n-1, 0) = M[n-1], the range base, so a change of length needs no
     special case.  So rank(after) - rank(before) is the difference of the
-    two span sums.
+    two span sums.  Only a word that grows reads the length limit, and
+    every rewrite is scanned (``_checked``).
     """
     symbols, _, written, predict, _, _ = _SHAPES[shape]
-    text = _splice(w.text, p, q, written) if p > q else w.text
+    if p > len(w.text):  # a splice past the left end: p > q
+        check_length(p)
+    text = _checked(w.text, _splice(w.text, p, q, written)) if p > q else w.text
     # the site is every position of a fixed shape, the two ends of a run
     site = (p, q) if "*" in symbols else tuple(range(p, q - 1, -1))
     depth = _depth_left(w.text, p)

@@ -4,25 +4,26 @@ Audits run a named exhaustive check over bounded ranges and return a
 structured report; a site's label is formatted only for a
 counterexample.  The rank probes are generators over the words of
 ``word.enumerate_range``.  The nav checks read rows of ``nav``'s
-move-shape table: ``_sites`` matches a word's depth profile against them,
-and ``_run_nav`` runs nav's splice and each row's prediction on the text,
-against the oracle's positions (and rank, for a shift_open that changes
-the word's length).  ``_examples`` lists the paper's worked cases, read
-by one loop.  Checks backed by proofs are expected to pass; the
-conjectured ones (block merge deltas, zero-gap swap site-independence)
-report counterexamples as data instead of asserting, so a scope extension
-can never crash the harness, only change the report.
+move-shape table, resolved at import: ``_sites`` matches a word's depth
+profile against them, and ``_run_nav`` runs nav's splice and, once per
+(row, p, q) and range, each row's prediction against the oracle's
+positions (and rank, for a shift_open that changes the word's length).
+A rewrite the range's index holds is valid; only a miss is scanned, and
+the length limit is read once per range.  ``_examples`` lists the
+paper's worked cases, read by one loop.  Checks backed by proofs are
+expected to pass; the conjectured ones (block merge deltas, zero-gap swap
+site-independence) report counterexamples as data instead of asserting,
+so a scope extension can never crash the harness, only change the report.
 """
 
 import os
 from functools import partial
 from itertools import accumulate
 
-from . import nav
+from . import config, nav
 from .blockops import add, decompose_sum, sub
-from .errors import (ArgumentError, LimitError, PolynomialMismatchError,
-                     UnknownCheckError)
-from .nav import _SHAPES, DeltaReport, _splice, control_points
+from .errors import ArgumentError, PolynomialMismatchError, UnknownCheckError
+from .nav import _SHAPES, DeltaReport, _checked, _splice, control_points
 from .rowindex import compare, range_min, rank, unrank
 from .word import (MotzkinWord, _check_range, _range_texts, _Value,
                    check_length, decompose, enumerate_range)
@@ -73,15 +74,22 @@ def _theorem_2_4(w, i):
     yield ("block-sum", ()), sum(rank(p) for p in decompose(w)), rank(w)
 
 
-# check: (kind, first range, the rows of nav's move-shape table it reads);
-# a site's label shows the public move's arguments
+# check: (kind, first range, the rows of nav's move-shape table it reads).
+# Each row is resolved at import for the site finder, as (row, its find
+# anchor, whether it has a run of zeros, the depth left of p, its last
+# symbol, its size): a shape without a run is one substring.  A site's
+# label shows the public move's arguments
 _NAV_CHECKS = {
-    "corollary_3_1": ("theorem", 2, ("open_right", "open_left")),
-    "corollary_3_3": ("theorem", 3, ("close_left", "close_right")),
-    "corollary_4_1": ("theorem", 4, ("remove_pair", "insert_pair")),
-    "conjecture_4_3": ("conjecture", 4, ("merge_adjacent",)),
-    "psi_site_independence": ("conjecture", 5, ("swap_across_zero",)),
-}
+    check: (kind, first, tuple(
+        (row, row[0][0] if "*" in row[0] else row[0], "*" in row[0], row[1],
+         row[0][-1], len(row[0])) for row in map(_SHAPES.get, names)))
+    for check, (kind, first, names) in {
+        "corollary_3_1": ("theorem", 2, ("open_right", "open_left")),
+        "corollary_3_3": ("theorem", 3, ("close_left", "close_right")),
+        "corollary_4_1": ("theorem", 4, ("remove_pair", "insert_pair")),
+        "conjecture_4_3": ("conjecture", 4, ("merge_adjacent",)),
+        "psi_site_independence": ("conjecture", 5, ("swap_across_zero",)),
+    }.items()}
 _LABELS = {"shift_open": "open k={} j={:+d}", "shift_close": "close k={} {}",
            "remove_pair": "remove ({},{})", "insert_pair": "insert ({},{})",
            "merge_adjacent": "merge k={}", "swap_across_zero": "swap k={}"}
@@ -90,75 +98,79 @@ _DEPTH_STEP = {"0": 0, "(": 1, ")": -1}
 
 def _sites(check, text):
     """Every site of a word's text that matches one of the check's rows,
-    as (row, p, q).  One depth profile is read, with two virtual zeros
-    left of the text."""
+    as a list of (row, p, q).  One depth profile is read, with two virtual
+    zeros left of the text."""
     text = "00" + text
     n = len(text)
     depth = [0, *accumulate(map(_DEPTH_STEP.__getitem__, text))]
-    for name in _NAV_CHECKS[check][2]:
-        row = _SHAPES[name]
-        shape, depth_p = row[0], row[1]
-        # a shape without a run of zeros is one substring
-        find = shape[0] if "*" in shape else shape
+    sites = []
+    for row, find, star, depth_p, last, size in _NAV_CHECKS[check][2]:
         a = text.find(find)
         while a >= 0:
-            if depth[a] == depth_p and find == shape:
-                yield row, n - a, n - a - len(shape) + 1
+            if depth[a] == depth_p and not star:
+                sites.append((row, n - a, n - a - size + 1))
             elif depth[a] == depth_p:
                 for b in range(a + 1, n):  # the zeros right of p, then q
-                    if text[b] == shape[-1]:
-                        yield row, n - a, n - b
+                    if text[b] == last:
+                        sites.append((row, n - a, n - b))
                     if text[b] != "0":
                         break
             a = text.find(find, a + 1)
+    return sites
 
 
 def _run_nav(check, n):
     """Check every site of every n-word that the check's rows match: the
     row's splice and prediction, against the after-text's position in the
-    range's {text: position} index minus the word's.  Only a shift_open
-    that changes the word's length leaves the range, and there the
-    verified delta is rank(after) - i; a drift past the length limit is
-    no site.  A site's label is formatted only for a counterexample."""
+    range's {text: position} index minus the word's.  A hit is a valid
+    word, the index holding only the oracle's; a miss, which only a
+    shift_open that changes the word's length meets, is scanned and
+    ranked.  A site past the length limit, read once, is no site.  A
+    site's label is formatted only for a counterexample."""
     count, bad = 0, []
     texts, base = _range_texts(n), range_min(n)[1]
     index = {text: i for i, text in enumerate(texts, base)}
+    limit, predictions = config.max_word_length(), {}
     for i, text in enumerate(texts, base):
-        for (_, _, written, predict, move, args), p, q in _sites(check, text):
-            try:
-                after = _splice(text, p, q, written)
-            except LimitError:
+        for site in _sites(check, text):
+            row, p, q = site
+            if p > limit:
                 continue
-            predicted = predict(p, q)
+            after = _splice(text, p, q, row[2])
             j = index.get(after)
             if j is None:
-                j = rank(MotzkinWord._trusted(after))
+                j = rank(MotzkinWord._trusted(_checked(text, after)))
+            if (predicted := predictions.get(site)) is None:
+                predicted = predictions[site] = row[3](p, q)
             count += 1
             if predicted != j - i:
-                site = _LABELS[move].format(*args(p, q))
-                bad.append((text, site, predicted, j - i))
+                label = _LABELS[row[4]].format(*row[5](p, q))
+                bad.append((text, label, predicted, j - i))
     return count, bad
 
 
 def _run_order_agreement(scope):
-    oracle = []
+    # streamed by range, the last word carried across each range's end;
+    # only the small front ranges are kept, for the pairwise comparison
+    bad, small, i, prev = [], [], -1, None
     for n in range(1, scope + 1):
-        oracle.extend(enumerate_range(n))
-    bad = []
-    for i, w in enumerate(oracle):
-        if rank(w) != i:
-            bad.append((w.text, "rank-vs-position", i, rank(w)))
-    for a, b in zip(oracle, oracle[1:]):
-        if compare(a, b) != -1:
-            bad.append((a.text, f"compare({b.text})", -1, compare(a, b)))
+        for w in enumerate_range(n):
+            i += 1
+            if rank(w) != i:
+                bad.append((w.text, "rank-vs-position", i, rank(w)))
+            if i and compare(prev, w) != -1:
+                bad.append((prev.text, f"compare({w.text})", -1,
+                            compare(prev, w)))
+            if n <= 6:
+                small.append(w)
+            prev = w
     # belt and braces: full pairwise comparison on the small front ranges
-    small = [w for w in oracle if len(w) <= min(scope, 6)]
-    for i, a in enumerate(small):
+    for k, a in enumerate(small):
         for j, b in enumerate(small):
-            want = (i > j) - (i < j)
+            want = (k > j) - (k < j)
             if compare(a, b) != want:
                 bad.append((a.text, f"compare({b.text})", want, compare(a, b)))
-    return 2 * len(oracle) - 1 + len(small) ** 2, bad
+    return 2 * i + 1 + len(small) ** 2, bad
 
 
 def _run_table_1(n):

@@ -393,6 +393,29 @@ def test_failing_audit_reports_are_pinned(wrong_polynomials, check, checked,
     assert lines[-2:] == [record + t for t in tail]
 
 
+@pytest.mark.parametrize("check, word, name, p, q, error", [
+    # the word keeps its length: the range's index misses the rewrite, which
+    # is then scanned
+    ("corollary_3_3", "(00)", "close_left", 4, 3,
+     "prefix ')' closes more brackets than it opens"),
+    # the word grows past its range
+    ("corollary_3_1", "(0)", "open_left", 5, 1, "'(0(00' has 2 '(' but 0 ')'"),
+])
+def test_nav_audits_scan_what_a_faulty_site_finder_lets_through(
+        monkeypatch, check, word, name, p, q, error):
+    # the audits trust the oracle's index for validity, so a rewrite the
+    # index does not hold is scanned: one bad site raises ValidityError
+    from motzkinrow import ValidityError, nav, verify
+
+    site = (nav._SHAPES[name], p, q)
+    monkeypatch.setattr(verify, "_sites",
+                        lambda check, text: [site] if text == word else [])
+    with pytest.raises(ValidityError) as caught:
+        audit(check, len(word))
+    assert str(caught.value) == (
+        f"rewrite of {word!r} is not a valid word: {error}")
+
+
 def test_nav_audits_check_against_rank_not_the_site_sum(monkeypatch):
     # with every nav span sum broken, the moves' own verified deltas are
     # wrong, yet the audits still pass: each probe compares the polynomial
