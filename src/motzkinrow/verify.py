@@ -4,28 +4,31 @@ Audits run a named exhaustive check over bounded ranges and return a
 structured report; a site's label is formatted only for a
 counterexample.  The rank probes are generators over the words of
 ``word.enumerate_range``.  The nav checks read rows of ``nav``'s
-move-shape table, resolved at import: ``_sites`` matches a word's depth
-profile against them, and ``_run_nav`` runs nav's splice and, once per
-(row, p, q) and range, each row's prediction against the oracle's
-positions (and rank, for a shift_open that changes the word's length).
-A rewrite the range's index holds is valid; only a miss is scanned, and
-the length limit is read once per range.  ``_examples`` lists the
-paper's worked cases, read by one loop.  Checks backed by proofs are
-expected to pass; the conjectured ones (block merge deltas, zero-gap swap
-site-independence) report counterexamples as data instead of asserting,
-so a scope extension can never crash the harness, only change the report.
+move-shape table, each compiled at import to a regular expression over
+the enumerator's marked spelling, where a symbol's letter carries the
+depth left of it: ``_marked`` joins a range once, ``_sites`` scans it
+once per row, and ``_run_nav`` runs nav's splice on the plain text
+and, once per (row, p, q) and range, each row's prediction against the
+oracle's positions (and rank, for a shift_open that changes the word's
+length).  A rewrite the range's index holds is valid; only a miss is
+scanned, and the length limit is read once per range.  ``_examples``
+lists the paper's worked cases, read by one loop.  Checks backed by
+proofs are expected to pass; the conjectured ones (block merge deltas,
+zero-gap swap site-independence) report counterexamples as data instead
+of asserting, so a scope extension can never crash the harness, only
+change the report.
 """
 
 import os
+import re
 from functools import partial
-from itertools import accumulate
 
 from . import config, nav
 from .blockops import add, decompose_sum, sub
 from .errors import ArgumentError, PolynomialMismatchError, UnknownCheckError
 from .nav import _SHAPES, DeltaReport, _checked, _splice, control_points
 from .rowindex import compare, range_min, rank, unrank
-from .word import (MotzkinWord, _check_range, _range_texts, _Value,
+from .word import (_MARKED, MotzkinWord, _check_range, _range_texts, _Value,
                    check_length, decompose, enumerate_range)
 
 
@@ -74,15 +77,29 @@ def _theorem_2_4(w, i):
     yield ("block-sum", ()), sum(rank(p) for p in decompose(w)), rank(w)
 
 
+def _pattern(symbols, depth):
+    """A row's symbols from p to q, depth left of p, as a regular
+    expression over the marked spelling: each symbol is the letter of the
+    depth it is read at, and "*" any run of zeros at that depth."""
+    out = []
+    for ch in symbols:
+        letters = _MARKED[min(depth, 2)]
+        if ch == "*":
+            out.append(letters[0] + "*")
+            continue
+        out.append(letters["0()".index(ch)])
+        depth += (ch == "(") - (ch == ")")
+    return re.compile("".join(out))
+
+
 # check: (kind, first range, the rows of nav's move-shape table it reads).
-# Each row is resolved at import for the site finder, as (row, its find
-# anchor, whether it has a run of zeros, the depth left of p, its last
-# symbol, its size): a shape without a run is one substring.  A site's
-# label shows the public move's arguments
+# Each row is compiled at import for the site finder, as (row, its
+# pattern, whether each zero of its run is a p, whether each later zero
+# is a q).  A site's label shows the public move's arguments
 _NAV_CHECKS = {
     check: (kind, first, tuple(
-        (row, row[0][0] if "*" in row[0] else row[0], "*" in row[0], row[1],
-         row[0][-1], len(row[0])) for row in map(_SHAPES.get, names)))
+        (row, _pattern(*row[:2]), row[0][:2] == "0*", row[0][-2:] == "*0")
+        for row in map(_SHAPES.get, names)))
     for check, (kind, first, names) in {
         "corollary_3_1": ("theorem", 2, ("open_right", "open_left")),
         "corollary_3_3": ("theorem", 3, ("close_left", "close_right")),
@@ -93,30 +110,35 @@ _NAV_CHECKS = {
 _LABELS = {"shift_open": "open k={} j={:+d}", "shift_close": "close k={} {}",
            "remove_pair": "remove ({},{})", "insert_pair": "insert ({},{})",
            "merge_adjacent": "merge k={}", "swap_across_zero": "swap k={}"}
-_DEPTH_STEP = {"0": 0, "(": 1, ")": -1}
+# what precedes each word of a joined range: a separator no pattern
+# matches, then two virtual zeros at depth 0
+_LEAD = "|" + 2 * _MARKED[0][0]
 
 
-def _sites(check, text):
-    """Every site of a word's text that matches one of the check's rows,
-    as a list of (row, p, q).  One depth profile is read, with two virtual
-    zeros left of the text."""
-    text = "00" + text
-    n = len(text)
-    depth = [0, *accumulate(map(_DEPTH_STEP.__getitem__, text))]
-    sites = []
-    for row, find, star, depth_p, last, size in _NAV_CHECKS[check][2]:
-        a = text.find(find)
-        while a >= 0:
-            if depth[a] == depth_p and not star:
-                sites.append((row, n - a, n - a - size + 1))
-            elif depth[a] == depth_p:
-                for b in range(a + 1, n):  # the zeros right of p, then q
-                    if text[b] == last:
-                        sites.append((row, n - a, n - b))
-                    if text[b] != "0":
-                        break
-            a = text.find(find, a + 1)
-    return sites
+def _marked(n):
+    """The n-range in the marked spelling, joined: each word after
+    ``_LEAD``, so that word k fills characters k*(n+3) to (k+1)*(n+3)."""
+    return _LEAD + _LEAD.join(_range_texts(n, marked=True))
+
+
+def _sites(check, marked, n):
+    """Every site that one of the check's rows matches in the n-range
+    joined as marked (``_marked``), as (row, k, p, q), k the word's index
+    in the range: one scan per row.  A match of a run row is every zero of
+    the run as a p when the row starts with "0", and every later zero of
+    the run as a q when it ends with "0"."""
+    size = n + 3
+    for row, pattern, each_p, each_q in _NAV_CHECKS[check][2]:
+        for m in pattern.finditer(marked):
+            k, a = divmod(m.start(), size)
+            p = size - a
+            q = p + m.start() - m.end() + 1
+            if not (each_p or each_q):
+                yield row, k, p, q
+                continue
+            for p2 in range(p, q, -1) if each_p else (p,):
+                for q2 in range(p2 - 1, q - 1, -1) if each_q else (q,):
+                    yield row, k, p2, q2
 
 
 def _run_nav(check, n):
@@ -128,24 +150,26 @@ def _run_nav(check, n):
     ranked.  A site past the length limit, read once, is no site.  A
     site's label is formatted only for a counterexample."""
     count, bad = 0, []
+    # joined before the plain texts are built: one list of words at a time
+    marked = _marked(n)
     texts, base = _range_texts(n), range_min(n)[1]
-    index = {text: i for i, text in enumerate(texts, base)}
+    index = {text: k for k, text in enumerate(texts)}
     limit, predictions = config.max_word_length(), {}
-    for i, text in enumerate(texts, base):
-        for site in _sites(check, text):
-            row, p, q = site
-            if p > limit:
-                continue
-            after = _splice(text, p, q, row[2])
-            j = index.get(after)
-            if j is None:
-                j = rank(MotzkinWord._trusted(_checked(text, after)))
-            if (predicted := predictions.get(site)) is None:
-                predicted = predictions[site] = row[3](p, q)
-            count += 1
-            if predicted != j - i:
-                label = _LABELS[row[4]].format(*row[5](p, q))
-                bad.append((text, label, predicted, j - i))
+    for row, k, p, q in _sites(check, marked, n):
+        if p > limit:
+            continue
+        text = texts[k]
+        after = _splice(text, p, q, row[2])
+        j = index.get(after)
+        if j is None:
+            j = rank(MotzkinWord._trusted(_checked(text, after))) - base
+        predict = row[3]
+        if (predicted := predictions.get((predict, p, q))) is None:
+            predicted = predictions[predict, p, q] = predict(p, q)
+        count += 1
+        if predicted != j - k:
+            label = _LABELS[row[4]].format(*row[5](p, q))
+            bad.append((text, label, predicted, j - k))
     return count, bad
 
 

@@ -12,10 +12,11 @@ for comparison and overlay.
 ``MotzkinWord(text)``, ``parse`` and ``as_word`` on a string validate their
 input, each with one scan.  Words the library assembles from already-valid
 pieces (unrank, the row neighbours, the range ends, block sums and
-differences, extended blocks, nav rewrites after their own bracket scan
-``_scan``) skip that check through the private ``MotzkinWord._trusted``,
-and the enumerator sets each word's text slot itself; where such a word
-may be longer than its input, the builder calls ``check_length`` first.
+differences, extended blocks, the control points' landmarks, nav
+rewrites after their own bracket scan ``_scan``) skip that check
+through the private ``MotzkinWord._trusted``, and the enumerator sets
+each word's text slot itself; where such a word may be longer than its
+input, the builder calls ``check_length`` first.
 Position k of a text is ``text[-k]``.
 
 The enumerator here is the package's independent ground truth: it builds
@@ -349,28 +350,38 @@ def enumerate_range(n: int) -> list[MotzkinWord]:
     return words
 
 
-def _range_texts(n: int) -> list[str]:
-    """The texts of the canonical n-words in row order, from lists of tails.
+# The marked spelling: one letter for each symbol and depth left of it,
+# 0, 1 or at least 2; _MARKED[min(d, 2)] spells "0", "(" and ")" at depth d
+_MARKED = ("adg", "beh", "cfi")
+
+
+def _range_texts(n: int, marked: bool = False) -> list[str]:
+    """The texts of the canonical n-words in row order, from lists of tails,
+    plain or, with marked, each symbol written as its letter in
+    ``_MARKED`` for the depth left of it.
 
     ``tails[d]`` holds, in row order, every string of length m that
     starts at depth d, never dips below depth 0 and ends there (row m of
     the Motzkin triangle, as strings).  The lists one symbol longer are
     "0" + tails[d], then "(" + tails[d+1], then ")" + tails[d-1]: joined
     in symbol order, which is row order, so each stays sorted without a
-    sort.  The range is "(" followed by the (n-1)-tails from depth 1,
-    which are the last step's "0" + tails[1], "(" + tails[2] and
+    sort.  Each symbol is prepended at a known depth d, which picks its
+    marked letter.  The range is "(" followed by the (n-1)-tails from
+    depth 1, which are the last step's "0" + tails[1], "(" + tails[2] and
     ")" + tails[0]; no depth above min(m, n-m) reaches them, so none is
     built.  Freeing the tails before any word is made keeps the peak down.
     """
+    spell = _MARKED if marked else ("0()",) * 3
     if n == 1:
-        return ["0"]
+        return [spell[0][0]]
     # two empty lists past the deepest, which depth -1 also reads
     tails = [[""], [], []]
     for m in range(1, n - 1):
-        tails = [[ch + t for ch, d2 in (("0", d), ("(", d + 1), (")", d - 1))
+        tails = [[ch + t for ch, d2 in zip(spell[min(d, 2)], (d, d + 1, d - 1))
                   for t in tails[d2]]
                  for d in range(min(m, n - m) + 1)] + [[], []]
-    return [head + t for head, d in (("(0", 1), ("((", 2), ("()", 0))
+    return [head + t for head, d in zip((spell[0][1] + ch for ch in spell[1]),
+                                        (1, 2, 0))
             for t in tails[d]]
 
 

@@ -424,6 +424,13 @@ def test_control_points_rank_equality_and_order():
         control_points(4)
 
 
+def test_control_points_build_valid_landmarks():
+    # the landmarks are wrapped unchecked, valid by construction
+    for n in range(5, 301):
+        for name, word, _ in control_points(n):
+            assert parse(word.text) == word, (n, name)
+
+
 def test_control_points_fail_fast_past_the_length_limit(monkeypatch):
     # the limit is checked before any landmark polynomial is evaluated
     import motzkinrow.nav as nav
@@ -553,18 +560,33 @@ def _split_sites(w):
         depth += (ch == "(") - (ch == ")")
 
 
+def _word_sites(check, text):
+    """(row, p, q) for every site of text that the nav audits' finder
+    matches, the text spelled and laid out as the one word of a range."""
+    from motzkinrow import verify
+    from motzkinrow.word import _MARKED
+
+    spelled, depth = [], 0
+    for ch in text:
+        spelled.append(_MARKED[min(depth, 2)]["0()".index(ch)])
+        depth += (ch == "(") - (ch == ")")
+    marked = verify._LEAD + "".join(spelled)
+    return [(row, p, q)
+            for row, _, p, q in verify._sites(check, marked, len(text))]
+
+
 def _move_reports(words, per_family=None):
     """(family, rank of the word, report) for every site the nav audits'
     move-shape rows and _split_sites find in each word, at most per_family
     of each family per word."""
-    from motzkinrow import nav, verify
+    from motzkinrow import nav
 
     found = []
     for w in words:
         i = rank(w)
         count = {}
         for check in SITE_CHECKS:
-            for (*_, name, args), p, q in verify._sites(check, w.text):
+            for (*_, name, args), p, q in _word_sites(check, w.text):
                 # the row ends with the public move and its arguments from
                 # the site; the report is built through the public move
                 args = args(p, q)
@@ -589,17 +611,20 @@ def test_site_sums_equal_rank_differences_on_every_probe(row_through):
             name, rep.before.text, rep.site)
 
 
-def test_public_moves_and_nav_audits_read_one_row(row_through):
+def test_public_moves_and_nav_audits_read_one_row(row):
     # the move-shape table has two users: each public move, after its site
     # checks, and the nav audits, after their site finder; at every site
-    # the audits find, both write the same word and predict the same delta
+    # the audits find in a joined range, both write the same word and
+    # predict the same delta
     from motzkinrow import audit, nav, verify
 
     sites = 0
-    for w in row_through(8):
+    for n in range(1, 9):
+        marked = verify._marked(n)
         for check in SITE_CHECKS:
-            for row, p, q in verify._sites(check, w.text):
-                _, _, written, predict, move, args = row
+            for shape, k, p, q in verify._sites(check, marked, n):
+                _, _, written, predict, move, args = shape
+                w = row(n)[k]
                 rep = getattr(nav, move)(w, *args(p, q))
                 assert rep.after.text == nav._splice(w.text, p, q, written)
                 assert rep.predicted_delta == predict(p, q)

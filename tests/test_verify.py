@@ -97,6 +97,24 @@ def test_enumerate_range_matches_the_recursive_generator(n):
     assert [w.text for w in enumerate_range(n)] == _recursive_range(n)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_marked_spelling_reads_back_and_marks_each_depth(n):
+    # the marked spelling writes each symbol as its letter for the depth
+    # left of it, 0, 1 or at least 2; read back, it is the plain range
+    from motzkinrow.word import _MARKED, _range_texts
+
+    letters = {letter: ("0()"[s], depth) for depth, spell in enumerate(_MARKED)
+               for s, letter in enumerate(spell)}
+    assert len(letters) == 9
+    plain, marked = _range_texts(n), _range_texts(n, marked=True)
+    assert ["".join(letters[c][0] for c in text) for text in marked] == plain
+    for text, spelled in zip(plain, marked):
+        depth = 0
+        for ch, letter in zip(text, spelled):
+            assert letters[letter] == (ch, min(depth, 2)), (text, spelled)
+            depth += (ch == "(") - (ch == ")")
+
+
 def test_enumerate_range_peak_memory_stays_near_its_result():
     # a fresh process, so that the trace sees only the enumerator's own
     # allocations; the lists of tails are dropped before the words are made
@@ -251,7 +269,7 @@ def test_audit_refuses_a_scope_past_a_limit_before_any_unit_runs(monkeypatch):
 
 @pytest.mark.parametrize("limit, scope, checked", [
     (9, 9, 1546), (10, 9, 2254), (11, 9, 2766), (12, 9, 2766),
-    (12, 12, 32564),
+    (12, 12, 32564), (13, 12, 45887),
 ])
 def test_open_drifts_keep_to_the_word_length_limit(monkeypatch, limit, scope,
                                                    checked):
@@ -407,9 +425,10 @@ def test_nav_audits_scan_what_a_faulty_site_finder_lets_through(
     # index does not hold is scanned: one bad site raises ValidityError
     from motzkinrow import ValidityError, nav, verify
 
-    site = (nav._SHAPES[name], p, q)
+    n = len(word)
+    site = (nav._SHAPES[name], verify._range_texts(n).index(word), p, q)
     monkeypatch.setattr(verify, "_sites",
-                        lambda check, text: [site] if text == word else [])
+                        lambda check, marked, m: [site] if m == n else [])
     with pytest.raises(ValidityError) as caught:
         audit(check, len(word))
     assert str(caught.value) == (
