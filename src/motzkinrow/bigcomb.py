@@ -30,7 +30,7 @@ from operator import sub
 
 from .errors import ArgumentError
 
-_lock = threading.RLock()
+_lock = threading.Lock()
 
 # _columns[d][m] = T(m, d) counts the length-m strings over {0, (, )} that
 # start at bracket depth d, never dip below depth 0, and end at depth 0;

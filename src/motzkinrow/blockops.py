@@ -48,20 +48,17 @@ def add(x, y) -> MotzkinWord:
 
 def includes(x, y) -> bool:
     """True when every extended block of y appears, at the same positions
-    and with identical content, among the extended blocks of x."""
+    and with identical content, among the extended blocks of x: a subset
+    test on the two words' outer blocks, each as its span and text."""
     x = as_word(x)
     y = as_word(y)
-    nx, ny = len(x), len(y)
-    spans_x = iter(outer_blocks(x))
-    for b in outer_blocks(y):
-        # both span lists run left to right: pass x's blocks that open
-        # left of b, then the next one must be b, with b's text
-        a = next((a for a in spans_x if a.open_pos <= b.open_pos), None)
-        if (a is None or (a.open_pos, a.close_pos) != (b.open_pos, b.close_pos)
-                or x.text[nx - b.open_pos : nx - b.close_pos + 1]
-                != y.text[ny - b.open_pos : ny - b.close_pos + 1]):
-            return False
-    return True
+    return _blocks(y) <= _blocks(x)
+
+
+def _blocks(w):
+    n = len(w.text)
+    return {(b.open_pos, b.close_pos, w.text[n - b.open_pos : n - b.close_pos + 1])
+            for b in outer_blocks(w)}
 
 
 def sub(x, y) -> MotzkinWord:

@@ -23,7 +23,7 @@ touched positions by ``bigcomb._rank_terms`` (see ``_move``).
 For the first three families the equality of the two is proven, so a
 mismatch raises PolynomialMismatchError.  The merge/split family is only
 conjectured and the zero-gap swap's site independence is only audited, so
-there a mismatch is data for the caller, not an error.
+on their rows, named in ``_UNPROVEN``, a mismatch is data for the caller.
 
 Each family's facts are one row of the move-shape table ``_SHAPES``: the
 symbols it reads, the depth left of them, the two symbols it writes and
@@ -180,6 +180,7 @@ _SHAPES = {
     "swap_across_zero": (")0(", 1, "()", lambda p, q: -_psi(q),
                          "swap_across_zero", lambda p, q: (q,)),
 }
+_UNPROVEN = frozenset({"merge_adjacent", "split_block", "swap_across_zero"})
 
 
 def _check_outer_bracket(w: MotzkinWord, k: int, side: str) -> None:
@@ -217,11 +218,11 @@ def _checked(text: str, after: str) -> str:
     return after
 
 
-def _move(w, shape, p, q, proven=True) -> DeltaReport:
+def _move(w, shape, p, q) -> DeltaReport:
     """Splice the shape's row into the word w at p >= q (p == q only for a
     zero shift_open drift, which writes nothing) and pair the row's
     prediction with the rank difference, summed over the touched positions:
-    a proven one that disagrees raises, an unproven one is reportable data.
+    a disagreement raises, except on a row of ``_UNPROVEN``.
 
     Every rank term depends only on its position, its symbol and the depth
     left of it (see ``bigcomb._rank_terms``), and every move leaves the
@@ -242,7 +243,7 @@ def _move(w, shape, p, q, proven=True) -> DeltaReport:
     verified = _rank_terms(text, p, q, depth) - _rank_terms(w.text, p, q, depth)
     report = DeltaReport(w, MotzkinWord._trusted(text), predict(p, q),
                          verified, site)
-    if proven and report.predicted_delta != verified:
+    if shape not in _UNPROVEN and report.predicted_delta != verified:
         raise PolynomialMismatchError(
             f"proven delta {report.predicted_delta} disagrees with rank "
             f"difference {verified} on {w.text!r} at site {site}", report)
@@ -348,7 +349,7 @@ def split_block(w, k: int) -> DeltaReport:
             f"the pair at positions {k + 1}, {k} of {w.text!r} is not "
             "directly inside an outer block"
         )
-    return _move(w, "split_block", k + 1, k, proven=False)
+    return _move(w, "split_block", k + 1, k)
 
 
 def swap_across_zero(w, k: int) -> DeltaReport:
@@ -372,8 +373,7 @@ def _fuse(w, k, gap):
     if gap and _at(w.text, k + 1) != "0":
         raise SiteError(f"position {k + 1} of {w.text!r} is not a zero")
     _check_outer_bracket(w, k, "open")
-    return _move(w, ("merge_adjacent", "swap_across_zero")[gap], p, k,
-                 proven=False)
+    return _move(w, ("merge_adjacent", "swap_across_zero")[gap], p, k)
 
 
 # psi enters the nested_block polynomial because that landmark is reached

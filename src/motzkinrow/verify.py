@@ -7,16 +7,13 @@ counterexample.  The rank probes are generators over the words of
 move-shape table, each compiled at import to a regular expression over
 the enumerator's marked spelling, where a symbol's letter carries the
 depth left of it: ``_marked`` joins a range once, ``_sites`` scans it
-once per row, and ``_run_nav`` runs nav's splice on the plain text
-and, once per (row, p, q) and range, each row's prediction against the
-oracle's positions (and rank, for a shift_open that changes the word's
-length).  A rewrite the range's index holds is valid; only a miss is
-scanned, and the length limit is read once per range.  ``_examples``
-lists the paper's worked cases, read by one loop.  Checks backed by
-proofs are expected to pass; the conjectured ones (block merge deltas,
-zero-gap swap site-independence) report counterexamples as data instead
-of asserting, so a scope extension can never crash the harness, only
-change the report.
+once per row, and ``_run_nav`` reads the plain texts back from the join
+and checks each site's splice and prediction against the oracle's
+positions.  ``_examples`` lists the paper's worked cases, read by one
+loop.  Checks backed by proofs are expected to pass; a nav check that
+reads a row of ``nav._UNPROVEN`` is a conjecture, which reports
+counterexamples as data instead of asserting, so a scope extension can
+never crash the harness, only change the report.
 """
 
 import os
@@ -92,20 +89,21 @@ def _pattern(symbols, depth):
     return re.compile("".join(out))
 
 
-# check: (kind, first range, the rows of nav's move-shape table it reads).
-# Each row is compiled at import for the site finder, as (row, its
-# pattern, whether each zero of its run is a p, whether each later zero
-# is a q).  A site's label shows the public move's arguments
+# check: (first range, the rows of nav's move-shape table it reads), kept
+# as (kind, first, rows): a conjecture if a row is in nav._UNPROVEN, and
+# each row compiled for the site finder as (row, its pattern, whether each
+# zero of its run is a p, whether each later zero is a q).  A site's label
+# shows the public move's arguments
 _NAV_CHECKS = {
-    check: (kind, first, tuple(
-        (row, _pattern(*row[:2]), row[0][:2] == "0*", row[0][-2:] == "*0")
-        for row in map(_SHAPES.get, names)))
-    for check, (kind, first, names) in {
-        "corollary_3_1": ("theorem", 2, ("open_right", "open_left")),
-        "corollary_3_3": ("theorem", 3, ("close_left", "close_right")),
-        "corollary_4_1": ("theorem", 4, ("remove_pair", "insert_pair")),
-        "conjecture_4_3": ("conjecture", 4, ("merge_adjacent",)),
-        "psi_site_independence": ("conjecture", 5, ("swap_across_zero",)),
+    check: ("conjecture" if nav._UNPROVEN & set(names) else "theorem", first,
+            tuple((row, _pattern(*row[:2]), row[0][:2] == "0*",
+                   row[0][-2:] == "*0") for row in map(_SHAPES.get, names)))
+    for check, (first, names) in {
+        "corollary_3_1": (2, ("open_right", "open_left")),
+        "corollary_3_3": (3, ("close_left", "close_right")),
+        "corollary_4_1": (4, ("remove_pair", "insert_pair")),
+        "conjecture_4_3": (4, ("merge_adjacent",)),
+        "psi_site_independence": (5, ("swap_across_zero",)),
     }.items()}
 _LABELS = {"shift_open": "open k={} j={:+d}", "shift_close": "close k={} {}",
            "remove_pair": "remove ({},{})", "insert_pair": "insert ({},{})",
@@ -113,6 +111,8 @@ _LABELS = {"shift_open": "open k={} j={:+d}", "shift_close": "close k={} {}",
 # what precedes each word of a joined range: a separator no pattern
 # matches, then two virtual zeros at depth 0
 _LEAD = "|" + 2 * _MARKED[0][0]
+# the nine marked letters read back as "0()"
+_PLAIN = str.maketrans("".join(_MARKED), "0()" * 3)
 
 
 def _marked(n):
@@ -150,11 +150,11 @@ def _run_nav(check, n):
     ranked.  A site past the length limit, read once, is no site.  A
     site's label is formatted only for a counterexample."""
     count, bad = 0, []
-    # joined before the plain texts are built: one list of words at a time
     marked = _marked(n)
-    texts, base = _range_texts(n), range_min(n)[1]
+    # read back from the join, so that the range is enumerated once
+    texts = marked.translate(_PLAIN).split(_LEAD.translate(_PLAIN))[1:]
     index = {text: k for k, text in enumerate(texts)}
-    limit, predictions = config.max_word_length(), {}
+    base, limit, predictions = range_min(n)[1], config.max_word_length(), {}
     for row, k, p, q in _sites(check, marked, n):
         if p > limit:
             continue

@@ -435,6 +435,26 @@ def test_nav_audits_scan_what_a_faulty_site_finder_lets_through(
         f"rewrite of {word!r} is not a valid word: {error}")
 
 
+def test_a_nav_audit_enumerates_each_range_once(monkeypatch):
+    # the plain texts and their index are read back from the marked join
+    # that the site finder scans, so the enumerator runs once per range
+    from motzkinrow import verify
+
+    calls = []
+    range_texts = verify._range_texts
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return range_texts(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_range_texts", counted)
+    for check in ("corollary_3_1", "corollary_3_3", "corollary_4_1",
+                  "conjecture_4_3", "psi_site_independence"):
+        calls.clear()
+        verify._run_nav(check, 9)
+        assert calls == [(9,)], check
+
+
 def test_nav_audits_check_against_rank_not_the_site_sum(monkeypatch):
     # with every nav span sum broken, the moves' own verified deltas are
     # wrong, yet the audits still pass: each probe compares the polynomial
