@@ -25,7 +25,6 @@ columns 0 .. h + 1, each only as far as the walk first needs it.
 """
 
 import threading
-from bisect import bisect_right
 from operator import sub
 
 from .errors import ArgumentError
@@ -158,16 +157,12 @@ def _rank_terms(text, hi, lo, depth):
     return total
 
 
-def _unrank_text(i, top):
-    """Text of the word of rank i >= 1, or None past length top: bisect
-    column 0 for the length, then walk ``_rank_terms`` backwards, taking
-    the smallest symbol whose completion count covers what is left of i."""
-    ms = completion_columns(0, top)[0]
-    n = bisect_right(ms, i, 1, top + 1)
-    if n > top:
-        return None
-    local = i - ms[n - 1]
+def _unrank_text(i, n):
+    """Text of the word of rank i in range n >= 2: walk ``_rank_terms``
+    backwards from the leading "(", taking the smallest symbol whose
+    completion count covers what is left of i past the range base M[n-1]."""
     columns = completion_columns(2, n - 2)
+    local = i - columns[0][n - 1]
     chars = ["("]
     depth = deepest = 1
     for m in range(n - 2, -1, -1):

@@ -50,18 +50,18 @@ def unrank(i: int) -> MotzkinWord:
     if i == 0:
         return MotzkinWord._trusted("0")
     # M[n] ~ 3^n / n^1.5 puts an index below 2^b, t = b log3(2), in a range
-    # near t + 1.5 log3(t), just under t + log2(t) + 2; past that estimate
-    # the search grows only when it runs off the end, never past the limit
-    limit = config.max_word_length()
+    # near t + 1.5 log3(t), just under t + log2(t) + 2.  That estimate is
+    # never below the length (0-4 above it in ranges 2-20000, a margin that
+    # grows with n), so capped at the limit it steps down to the length
     t = int(i.bit_length() * 0.6309297535714574)
-    top = min(t + t.bit_length() + 2, limit)
-    while (text := _unrank_text(i, top)) is None and top < limit:
-        top = min(2 * top, limit)
-    if text is None:  # then top is the limit
+    n = min(t + t.bit_length() + 2, config.max_word_length())
+    if motzkin(n) <= i:  # then n is the limit
         shown = i if i.bit_length() <= 64 else f"of {i.bit_length()} bits"
         raise LimitError(f"index {shown} needs a word longer than the "
-                         f"configured maximum {top}")
-    return MotzkinWord._trusted(text)
+                         f"configured maximum {n}")
+    while motzkin(n - 1) > i:
+        n -= 1
+    return MotzkinWord._trusted(_unrank_text(i, n))
 
 
 def successor(w) -> MotzkinWord:

@@ -4,8 +4,8 @@ Audits run a named exhaustive check over bounded ranges and return a
 structured report; a site's label is formatted only for a
 counterexample.  The rank probes are generators over the words of
 ``word.enumerate_range``.  The nav checks read rows of ``nav``'s
-move-shape table, each compiled at import to a regular expression over
-the enumerator's marked spelling, where a symbol's letter carries the
+move-shape table when they run, each compiled to a regular expression
+over the enumerator's marked spelling, where a symbol's letter carries the
 depth left of it: ``_marked`` joins a range once, ``_sites`` scans it
 once per row, and ``_run_nav`` reads the plain texts back from the join
 and checks each site's splice and prediction against the oracle's
@@ -89,22 +89,16 @@ def _pattern(symbols, depth):
     return re.compile("".join(out))
 
 
-# check: (first range, the rows of nav's move-shape table it reads), kept
-# as (kind, first, rows): a conjecture if a row is in nav._UNPROVEN, and
-# each row compiled for the site finder as (row, its pattern, whether each
-# zero of its run is a p, whether each later zero is a q).  A site's label
-# shows the public move's arguments
+# check: (first range, the rows of nav's move-shape table it reads), each
+# row looked up when the check runs; a check is a conjecture if one of its
+# rows is in nav._UNPROVEN.  A site's label shows the public move's arguments
 _NAV_CHECKS = {
-    check: ("conjecture" if nav._UNPROVEN & set(names) else "theorem", first,
-            tuple((row, _pattern(*row[:2]), row[0][:2] == "0*",
-                   row[0][-2:] == "*0") for row in map(_SHAPES.get, names)))
-    for check, (first, names) in {
-        "corollary_3_1": (2, ("open_right", "open_left")),
-        "corollary_3_3": (3, ("close_left", "close_right")),
-        "corollary_4_1": (4, ("remove_pair", "insert_pair")),
-        "conjecture_4_3": (4, ("merge_adjacent",)),
-        "psi_site_independence": (5, ("swap_across_zero",)),
-    }.items()}
+    "corollary_3_1": (2, ("open_right", "open_left")),
+    "corollary_3_3": (3, ("close_left", "close_right")),
+    "corollary_4_1": (4, ("remove_pair", "insert_pair")),
+    "conjecture_4_3": (4, ("merge_adjacent",)),
+    "psi_site_independence": (5, ("swap_across_zero",)),
+}
 _LABELS = {"shift_open": "open k={} j={:+d}", "shift_close": "close k={} {}",
            "remove_pair": "remove ({},{})", "insert_pair": "insert ({},{})",
            "merge_adjacent": "merge k={}", "swap_across_zero": "swap k={}"}
@@ -128,8 +122,9 @@ def _sites(check, marked, n):
     the run as a p when the row starts with "0", and every later zero of
     the run as a q when it ends with "0"."""
     size = n + 3
-    for row, pattern, each_p, each_q in _NAV_CHECKS[check][2]:
-        for m in pattern.finditer(marked):
+    for row in map(_SHAPES.get, _NAV_CHECKS[check][1]):
+        each_p, each_q = row[0][:2] == "0*", row[0][-2:] == "*0"
+        for m in _pattern(*row[:2]).finditer(marked):
             k, a = divmod(m.start(), size)
             p = size - a
             q = p + m.start() - m.end() + 1
@@ -330,8 +325,9 @@ _CHECKS = {
     "rank_roundtrip": ("theorem", partial(_run_words, _rank_roundtrip), 1, "range"),
     "order_agreement": ("theorem", _run_order_agreement, 1, "scope"),
     "theorem_2_4": ("theorem", partial(_run_words, _theorem_2_4), 2, "range"),
-    **{check: (kind, partial(_run_nav, check), first, "range")
-       for check, (kind, first, _) in _NAV_CHECKS.items()},
+    **{check: ("conjecture" if nav._UNPROVEN.intersection(names) else "theorem",
+               partial(_run_nav, check), first, "range")
+       for check, (first, names) in _NAV_CHECKS.items()},
     "table_1": ("theorem", _run_table_1, 5, "range"),
     "paper_examples": ("theorem", _run_paper_examples, 0, "scope"),
 }

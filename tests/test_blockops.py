@@ -190,3 +190,14 @@ def test_decompose_parts_are_noncrossing_and_fold_back(row):
                 for y in parts[i + 1 :]:
                     assert noncrossing(x, y)
             assert reduce(add, parts) == w
+
+
+def test_decompose_sum_raises_when_the_ranks_do_not_add_up(monkeypatch):
+    from motzkinrow import MotzkinError, blockops
+
+    monkeypatch.setattr(blockops, "rank",
+                        lambda w: rank(w) + (str(w) == "()"))
+    with pytest.raises(MotzkinError) as caught:
+        decompose_sum("(0)()")
+    assert str(caught.value) == (
+        "block decomposition of '(0)()' is not index-additive: 14 != 13")

@@ -549,3 +549,18 @@ def test_arguments_past_a_limit_end_cleanly(argv, code):
         assert out == "" and _one_error_line(err)
     else:
         assert err == ""
+
+
+def test_a_disagreeing_delta_is_noted_on_stderr(capsys, monkeypatch):
+    # the plain format notes a conjectured delta that disagrees; the
+    # machine format carries both deltas and no note
+    from motzkinrow import nav
+
+    symbols, depth, written, predict, move, site = nav._SHAPES["merge_adjacent"]
+    monkeypatch.setitem(nav._SHAPES, "merge_adjacent", (
+        symbols, depth, written, lambda p, q: predict(p, q) + 1, move, site))
+    code, out, err = run_cli(capsys, "merge", "(0)()00", "4")
+    assert code == 0 and "predicted: -8\nverified:  -9\n" in out
+    assert err == "note: predicted and verified deltas disagree\n"
+    code, out, err = run_cli(capsys, "--format", "lines", "merge", "(0)()00", "4")
+    assert code == 0 and " predicted=-8 verified=-9 " in out and err == ""

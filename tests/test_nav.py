@@ -672,14 +672,38 @@ def test_a_nav_audit_passes_as_a_conjecture_only_with_an_unproven_row():
     from motzkinrow import audit, verify
 
     outcomes = {}
-    for check, (_, _, rows) in verify._NAV_CHECKS.items():
-        proven = UNPROVEN.isdisjoint(row[4] for row, *_ in rows)
+    for check, (_, names) in verify._NAV_CHECKS.items():
+        proven = UNPROVEN.isdisjoint(names)
         outcomes[check] = audit(check, 8).outcome
         assert outcomes[check] == ("pass" if proven else "conjecture-holds")
     assert outcomes == {
         "corollary_3_1": "pass", "corollary_3_3": "pass",
         "corollary_4_1": "pass", "conjecture_4_3": "conjecture-holds",
         "psi_site_independence": "conjecture-holds"}
+
+
+def test_a_nav_audit_reads_its_rows_when_it_runs(monkeypatch):
+    # a prediction made off by one after import reaches the audit: each of
+    # corollary_3_1's rows, patched alone, fails the audit at every one of
+    # its own sites, and the audit still checks the sites of both rows
+    from motzkinrow import audit, nav
+
+    failed = {}
+    for name in ("open_left", "open_right"):
+        symbols, depth, written, predict, move, site = nav._SHAPES[name]
+        with monkeypatch.context() as patch:
+            patch.setitem(nav._SHAPES, name, (
+                symbols, depth, written, lambda p, q: predict(p, q) + 1,
+                move, site))
+            report = audit("corollary_3_1", 6)
+        assert report.outcome == "fail" and report.counts == 144
+        assert all(cx.predicted == cx.verified + 1
+                   for cx in report.counterexamples)
+        failed[name] = [cx.site for cx in report.counterexamples]
+    # an open_left drift moves the bracket left, j > 0
+    assert all(" j=+" in site for site in failed["open_left"])
+    assert all(" j=-" in site for site in failed["open_right"])
+    assert len(failed["open_left"]) + len(failed["open_right"]) == 144
 
 
 def _random_blocks(rng, n):

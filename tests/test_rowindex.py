@@ -296,24 +296,32 @@ def test_unrank_grows_column_0_little_past_its_answer():
     assert found == "True" and 2049 <= int(length) <= 2048 + 16
 
 
-def test_unrank_searches_past_a_short_estimate(monkeypatch):
-    # should the estimate fall short, the search doubles it, up to the limit
+def test_unrank_takes_the_length_from_its_estimate(monkeypatch):
+    # the estimate, capped at the limit, is never short of the length: the
+    # first and the last index of every range 2..20000 reach the walk with
+    # that range's length.  Motzkin numbers come from a list of the test's
+    # own, so the shared table does not grow, and the walk is a spy
     from motzkinrow import rowindex
 
-    tops = []
-    real = rowindex._unrank_text
+    top = 20000
+    ms = [1, 1]
+    for k in range(2, top + 1):
+        ms.append(((2 * k + 1) * ms[k - 1] + 3 * (k - 1) * ms[k - 2]) // (k + 2))
+    lengths = []
 
-    def short_once(i, top):
-        tops.append(top)
-        return None if len(tops) == 1 else real(i, top)
+    def spy(i, n):
+        lengths.append(n)
+        return "0"
 
-    monkeypatch.setattr(rowindex, "_unrank_text", short_once)
-    assert unrank(motzkin(40) - 1).text == "()" * 20
-    assert tops[1] == 2 * tops[0]
-    tops.clear()
-    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "60")
-    assert unrank(motzkin(40)).text == "(" + "0" * 39 + ")"
-    assert tops[0] < 60 == tops[1]
+    monkeypatch.setattr(rowindex, "motzkin", ms.__getitem__)
+    monkeypatch.setattr(rowindex, "_unrank_text", spy)
+    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", str(top))
+    for n in range(2, top + 1):
+        unrank(ms[n - 1])
+        unrank(ms[n] - 1)
+    assert lengths == [n for n in range(2, top + 1) for _ in "ab"]
+    with pytest.raises(LimitError, match=f"configured maximum {top}$"):
+        unrank(ms[top])
 
 
 def test_neighbors_read_no_counts():

@@ -639,3 +639,35 @@ def test_audit_clamps_workers(monkeypatch, scope, cpus, sizes):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert audit("corollary_3_1", scope, workers=64) == audit("corollary_3_1", scope)
     assert _SerialPool.sizes == sizes
+
+
+@pytest.mark.parametrize("check, record", [
+    ("rank_roundtrip", "site='rank' predicted=13 verified=14"),
+    ("theorem_2_4", "site='block-sum' predicted=13 verified=14"),
+    ("order_agreement", "site='rank-vs-position' predicted=13 verified=14"),
+])
+def test_a_wrong_rank_is_a_counterexample(monkeypatch, check, record):
+    # rank one too high on "(0)()", index 13, fails each rank probe there
+    from motzkinrow import verify
+
+    rank = verify.rank
+    monkeypatch.setattr(verify, "rank",
+                        lambda w: rank(w) + (str(w) == "(0)()"))
+    report = audit(check, 5)
+    lines = report_lines(report).splitlines()
+    assert report.outcome == "fail" and len(lines) == 2
+    assert lines[1] == f"counterexample check={check} word=(0)() {record}"
+
+
+def test_a_wrong_compare_is_a_counterexample_twice(monkeypatch):
+    # compare wrong on one consecutive pair of range 3 fails both the
+    # streamed comparison and the pairwise one of the front ranges
+    from motzkinrow import verify
+
+    compare = verify.compare
+    monkeypatch.setattr(verify, "compare", lambda x, y: (
+        1 if (str(x), str(y)) == ("(0)", "()0") else compare(x, y)))
+    lines = report_lines(audit("order_agreement", 5)).splitlines()
+    record = ("counterexample check=order_agreement word=(0) "
+              "site='compare(()0)' predicted=-1 verified=1")
+    assert lines[1:] == [record, record]

@@ -2,6 +2,7 @@ import pytest
 
 from motzkinrow import (
     AlphabetError,
+    ArgumentError,
     BlockSpan,
     ConfigError,
     EmptyError,
@@ -16,6 +17,7 @@ from motzkinrow import (
     ZeroWordError,
     as_word,
     decompose,
+    enumerate_range,
     extended_block,
     outer_blocks,
     parse,
@@ -239,3 +241,19 @@ def test_word_ordering_operators():
     assert MotzkinWord("(0)") < MotzkinWord("()0")
     assert MotzkinWord("0") < MotzkinWord("()")
     assert MotzkinWord("()0") >= MotzkinWord("(0)")
+
+
+def test_public_edges_of_the_word_types():
+    with pytest.raises(ArgumentError, match="left_padding must be nonnegative"):
+        PaddedWord(MotzkinWord("()"), -1)
+    with pytest.raises(AlphabetError, match="expected a string, got int"):
+        parse(5)
+    with pytest.raises(ArgumentError):
+        enumerate_range(0)
+    with pytest.raises(AlphabetError):
+        Symbol.from_char("x")
+    padded = PaddedWord(MotzkinWord("()"), 2)
+    assert str(padded) == "00()" and len(padded) == 4
+    span = BlockSpan(5, 2)
+    assert span.covers(2) and span.covers(5)
+    assert not span.covers(1) and not span.covers(6)
