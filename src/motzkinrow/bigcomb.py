@@ -135,13 +135,16 @@ def _rank_terms(text, hi, lo, depth):
 
     A "(" at position p with depth d left of it adds T(p-1, d), a ")"
     adds T(p-1, d) + T(p-1, d+1) (the words with a smaller symbol there)
-    and a "0" adds nothing.  Column depth + 2 through hi - 2 covers every
-    read until the walk first reaches a new greatest depth."""
+    and a "0" adds nothing, so the walk stops at the text's last bracket:
+    its trailing zeros cost no step, while each zero before that bracket
+    still costs one.  Column depth + 2 through hi - 2 covers every read
+    until the walk first reaches a new greatest depth."""
     columns = completion_columns(depth + 2, hi - 2)
     deepest = depth + 1
     total = 0
     n = len(text)
     m = n if hi > n else hi
+    lo = max(lo, n + 1 - len(text.rstrip("0")))
     for ch in text[n - m : n + 1 - lo]:
         m -= 1
         if ch == "(":

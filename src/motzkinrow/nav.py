@@ -51,8 +51,8 @@ from .errors import (
     ValidityError,
     WordError,
 )
-from .word import (MotzkinWord, _Value, _at, _depth_left, _scan, as_word,
-                   check_length)
+from .word import (MotzkinWord, _Value, _at, _depth_left, _largest, _scan,
+                   _smallest, as_word, check_length)
 
 
 class DeltaReport(_Value):
@@ -386,20 +386,19 @@ def control_points(n: int) -> list[tuple[str, MotzkinWord, int]]:
             f"all seven landmarks need a range of at least 5, got {n}"
         )
     check_length(n)  # before any landmark polynomial is evaluated
-    half_pairs = "()" * ((n - 3) // 2) + "0" * ((n - 3) % 2)
     points = [
-        ("min", "(" + "0" * (n - 2) + ")", motzkin(n - 1)),
+        ("min", _smallest(n), motzkin(n - 1)),
         ("pair_inside_block", "(0())" + "0" * (n - 5),
          2 * motzkin(n - 1) - motzkin(n - 2) - motzkin(n - 3) - motzkin(n - 5)),
         ("small_block", "(0)" + "0" * (n - 3),
          2 * motzkin(n - 1) - motzkin(n - 2) - motzkin(n - 3)),
-        ("small_block_pairs", "(0)" + half_pairs,
+        ("small_block_pairs", "(0)" + _largest(n - 3),
          2 * motzkin(n - 1) - motzkin(n - 2) - 1),
         ("nested_block", "((0))" + "0" * (n - 5),
          motzkin(n) - motzkin(n - 2) + motzkin(n - 3) - motzkin(n - 5)
          - psi(n - 3)),
         ("leading_pair", "()" + "0" * (n - 2), motzkin(n) - motzkin(n - 2)),
-        ("max", "()" * (n // 2) + "0" * (n % 2), motzkin(n) - 1),
+        ("max", _largest(n), motzkin(n) - 1),
     ]
     out = []
     for name, text, index in points:

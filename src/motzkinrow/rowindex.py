@@ -14,14 +14,15 @@ remaining offset.  The neighbor functions do NOT use those counts at all:
 they rewrite one symbol and refill the tail directly, which keeps them an
 independent cross-check on rank/unrank.  A tail of m symbols that starts
 at depth d is smallest as ``"0"*(m-d) + ")"*d`` (zeros, then the closing
-brackets) and largest as ``")"*d + "()"*((m-d)//2) + "0"*((m-d)%2)`` (the
-closing brackets first, then adjacent pairs and at most one zero).
+brackets) and largest as ``")"*d`` followed by the text of the largest
+(m-d)-word, ``word._largest(m - d)`` (the closing brackets first, then
+adjacent pairs and at most one zero).
 """
 
 from . import config
 from .bigcomb import _rank_terms, _unrank_text, motzkin
 from .errors import ArgumentError, LimitError, UnderflowError
-from .word import MotzkinWord, as_word, check_length
+from .word import MotzkinWord, _largest, _smallest, as_word, check_length
 
 
 def compare(x, y) -> int:
@@ -86,7 +87,7 @@ def successor(w) -> MotzkinWord:
     # w is the maximum of its range; the next range may pass the length
     # limit
     check_length(n + 1)
-    return MotzkinWord._trusted("(" + "0" * (n - 1) + ")")
+    return MotzkinWord._trusted(_smallest(n + 1))
 
 
 def predecessor(w) -> MotzkinWord:
@@ -106,11 +107,9 @@ def predecessor(w) -> MotzkinWord:
             ch = "0"
         else:
             continue
-        r = m - d
-        return MotzkinWord._trusted(
-            text[:i] + ch + ")" * d + "()" * (r // 2) + "0" * (r % 2))
+        return MotzkinWord._trusted(text[:i] + ch + ")" * d + _largest(m - d))
     # w is the minimum of its range.
-    return _largest(n - 1)
+    return MotzkinWord._trusted(_largest(n - 1))
 
 
 def range_min(n: int) -> tuple[MotzkinWord, int]:
@@ -118,9 +117,7 @@ def range_min(n: int) -> tuple[MotzkinWord, int]:
     if n < 1:
         raise ArgumentError(f"ranges are numbered from 1, got {n}")
     check_length(n)
-    if n == 1:
-        return MotzkinWord._trusted("0"), 0
-    return MotzkinWord._trusted("(" + "0" * (n - 2) + ")"), motzkin(n - 1)
+    return MotzkinWord._trusted(_smallest(n)), motzkin(n - 1) if n > 1 else 0
 
 
 def range_max(n: int) -> tuple[MotzkinWord, int]:
@@ -128,11 +125,4 @@ def range_max(n: int) -> tuple[MotzkinWord, int]:
     if n < 1:
         raise ArgumentError(f"ranges are numbered from 1, got {n}")
     check_length(n)
-    return _largest(n), motzkin(n) - 1
-
-
-def _largest(n):
-    """The largest n-word, built without its index: a run of adjacent
-    bracket pairs, plus one trailing zero when n is odd; ranges 1 and 2
-    are singletons."""
-    return MotzkinWord._trusted("()" * (n // 2) + "0" * (n % 2))
+    return MotzkinWord._trusted(_largest(n)), motzkin(n) - 1

@@ -386,34 +386,31 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
     return AuditReport(check, max_scope, outcome, tuple(merged), counts)
 
 
+def _report(report, summary, record):
+    """The report in one layout: the summary template filled from the
+    report and its counterexample count, then the record template once per
+    counterexample, filled from it and the report."""
+    return "\n".join([summary.format(report, len(report.counterexamples)),
+                      *(record.format(cx, report)
+                        for cx in report.counterexamples)])
+
+
 def report_text(report: AuditReport) -> str:
-    lines = [
-        f"check: {report.check_name}",
-        f"scope: {report.scope}",
-        f"outcome: {report.outcome}",
-        f"checked: {report.counts}",
-        f"counterexamples: {len(report.counterexamples)}",
-    ]
-    for cx in report.counterexamples:
-        lines.append(
-            f"  word={cx.word} site={cx.site} "
-            f"predicted={cx.predicted} verified={cx.verified}"
-        )
-    return "\n".join(lines)
+    """Human-readable format: one "field: value" line per summary field,
+    then one indented line per counterexample."""
+    return _report(report, "check: {0.check_name}\nscope: {0.scope}\n"
+                   "outcome: {0.outcome}\nchecked: {0.counts}\n"
+                   "counterexamples: {1}",
+                   "  word={0.word} site={0.site} predicted={0.predicted} "
+                   "verified={0.verified}")
 
 
 def report_lines(report: AuditReport) -> str:
     """Line-delimited machine format: one summary record, then one record
     per counterexample."""
-    lines = [
-        f"check={report.check_name} scope={report.scope} "
-        f"outcome={report.outcome} checked={report.counts} "
-        f"counterexamples={len(report.counterexamples)}"
-    ]
-    for cx in report.counterexamples:
-        lines.append(
-            f"counterexample check={report.check_name} word={cx.word} "
-            f"site={cx.site!r} predicted={cx.predicted} verified={cx.verified}"
-        )
-    return "\n".join(lines)
-
+    return _report(report, "check={0.check_name} scope={0.scope} "
+                   "outcome={0.outcome} checked={0.counts} "
+                   "counterexamples={1}",
+                   "counterexample check={1.check_name} word={0.word} "
+                   "site={0.site!r} predicted={0.predicted} "
+                   "verified={0.verified}")

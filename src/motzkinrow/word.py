@@ -17,7 +17,11 @@ rewrites after their own bracket scan ``_scan``) skip that check
 through the private ``MotzkinWord._trusted``, and the enumerator sets
 each word's text slot itself; where such a word may be longer than its
 input, the builder calls ``check_length`` first.
-Position k of a text is ``text[-k]``.
+Position k of a text is ``text[-k]``.  The smallest and largest word of
+each range are spelled once, by ``_smallest`` and ``_largest``, which read
+no count: the range ends, the row neighbours across a range's end,
+``predecessor``'s refilled tail and the control points' landmarks take
+their text from there, and the enumerator uses neither.
 
 The enumerator here is the package's independent ground truth: it builds
 every canonical word of a range from lists of tails joined in symbol
@@ -25,8 +29,6 @@ order, which is row order, and imports no counting table, so it shares
 no code with the arithmetic of rank and unrank.  Agreement between
 the two is therefore evidence, not a tautology.
 """
-
-from __future__ import annotations
 
 from enum import IntEnum
 from functools import total_ordering
@@ -327,6 +329,18 @@ def _depth_left(text: str, k: int) -> int:
     """Bracket depth strictly left of position k >= 1 of text."""
     head = text[:-k]
     return head.count("(") - head.count(")")
+
+
+def _smallest(n: int) -> str:
+    """The text of the smallest n-word: one block around n - 2 zeros, or
+    "0" for n = 1."""
+    return "(" + "0" * (n - 2) + ")" if n > 1 else "0"
+
+
+def _largest(n: int) -> str:
+    """The text of the largest n-word: adjacent bracket pairs, plus one
+    trailing zero when n is odd (ranges 1 and 2 are singletons)."""
+    return "()" * (n // 2) + "0" * (n % 2)
 
 
 def _check_range(n: int) -> None:

@@ -281,6 +281,19 @@ def test_shallow_long_word_grows_only_the_columns_it_reads():
         0, f"True {deepest + 2}\n", "")
 
 
+def test_a_depth_2_word_at_the_length_limit_grows_four_columns():
+    # a word of greatest depth 2 reads columns 0 .. 3, so at 4096 symbols
+    # rank and unrank stay within those four, in a fresh process
+    script = (
+        "import motzkinrow as mz, motzkinrow.bigcomb as b\n"
+        "w = '(' + '()' * 2047 + ')'\n"
+        "print(mz.unrank(mz.rank(w)).text == w, len(b._columns))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True 4\n", "")
+
+
 def test_unrank_grows_column_0_little_past_its_answer():
     # the length search starts from M[n] ~ 3^n / n^1.5, not from the index's
     # bit length, which would grow column 0 to about 1.58 n

@@ -257,3 +257,14 @@ def test_public_edges_of_the_word_types():
     span = BlockSpan(5, 2)
     assert span.covers(2) and span.covers(5)
     assert not span.covers(1) and not span.covers(6)
+
+
+def test_range_ends_are_the_enumerators_first_and_last_words():
+    # the one spelling of each range end agrees with the oracle, which
+    # stays independent of it
+    from motzkinrow.word import _largest, _range_texts, _smallest
+
+    for n in range(1, 13):
+        texts = _range_texts(n)
+        assert (_smallest(n), _largest(n)) == (texts[0], texts[-1]), n
+    assert not {"_smallest", "_largest"} & set(_range_texts.__code__.co_names)
