@@ -9,10 +9,9 @@ are closed-form polynomials in Motzkin numbers, and a brute-force
 verification harness for all of it.
 
 The package imports a module on first use of a name it exports (PEP 562),
-so a caller pays only for the modules it uses.
+so a caller pays only for the modules it uses.  It loads them through
+the import system's own entry point, so ``-X importtime`` times each.
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
@@ -49,10 +48,10 @@ __all__ = sorted(_OWNER)
 
 def __getattr__(name):
     if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
+        return __import__(name, globals(), level=1)
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    value = getattr(__import__(_OWNER[name], globals(), level=1), name)
     globals()[name] = value
     return value
 

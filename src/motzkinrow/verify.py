@@ -11,9 +11,10 @@ once per row, and ``_run_nav`` reads the plain texts back from the join
 and checks each site's splice and prediction against the oracle's
 positions.  ``_examples`` lists the paper's worked cases, read by one
 loop.  Checks backed by proofs are expected to pass; a nav check that
-reads a row of ``nav._UNPROVEN`` is a conjecture, which reports
-counterexamples as data instead of asserting, so a scope extension can
-never crash the harness, only change the report.
+reads a row of ``nav._UNPROVEN``, looked up when the audit runs like the
+rows themselves, is a conjecture, which passes as ``conjecture-holds``.
+Every check reports counterexamples as data instead of asserting, so a
+scope extension can never crash the harness, only change the report.
 """
 
 import os
@@ -91,7 +92,8 @@ def _pattern(symbols, depth):
 
 # check: (first range, the rows of nav's move-shape table it reads), each
 # row looked up when the check runs; a check is a conjecture if one of its
-# rows is in nav._UNPROVEN.  A site's label shows the public move's arguments
+# rows is in nav._UNPROVEN then.  A site's label shows the public move's
+# arguments
 _NAV_CHECKS = {
     "corollary_3_1": (2, ("open_right", "open_left")),
     "corollary_3_3": (3, ("close_left", "close_right")),
@@ -118,9 +120,10 @@ def _marked(n):
 def _sites(check, marked, n):
     """Every site that one of the check's rows matches in the n-range
     joined as marked (``_marked``), as (row, k, p, q), k the word's index
-    in the range: one scan per row.  A match of a run row is every zero of
-    the run as a p when the row starts with "0", and every later zero of
-    the run as a q when it ends with "0"."""
+    in the range: one scan per row.  A match is one site, except that a
+    match of a run row is every zero of the run as a p when the row starts
+    with "0", and every later zero of the run as a q when it ends with
+    "0"."""
     size = n + 3
     for row in map(_SHAPES.get, _NAV_CHECKS[check][1]):
         each_p, each_q = row[0][:2] == "0*", row[0][-2:] == "*0"
@@ -128,9 +131,6 @@ def _sites(check, marked, n):
             k, a = divmod(m.start(), size)
             p = size - a
             q = p + m.start() - m.end() + 1
-            if not (each_p or each_q):
-                yield row, k, p, q
-                continue
             for p2 in range(p, q, -1) if each_p else (p,):
                 for q2 in range(p2 - 1, q - 1, -1) if each_q else (q,):
                     yield row, k, p2, q2
@@ -317,19 +317,19 @@ def _run_paper_examples(scope):
     return count, bad
 
 
-# (kind, runner, first range, unit); kind decides the passing outcome label.
-# A runner takes one range (unit "range") or the whole scope at once (unit
-# "scope").  The first range is the smallest with a site to check, so no
-# accepted scope passes vacuously.  The nav checks are _NAV_CHECKS' rows.
+# (runner, first range, unit).  A runner takes one range (unit "range") or
+# the whole scope at once (unit "scope").  The first range is the smallest
+# with a site to check, so no accepted scope passes vacuously.  The nav
+# checks are _NAV_CHECKS' rows; whether one passes as a conjecture is read
+# from nav._UNPROVEN when the audit runs, as its rows are.
 _CHECKS = {
-    "rank_roundtrip": ("theorem", partial(_run_words, _rank_roundtrip), 1, "range"),
-    "order_agreement": ("theorem", _run_order_agreement, 1, "scope"),
-    "theorem_2_4": ("theorem", partial(_run_words, _theorem_2_4), 2, "range"),
-    **{check: ("conjecture" if nav._UNPROVEN.intersection(names) else "theorem",
-               partial(_run_nav, check), first, "range")
-       for check, (first, names) in _NAV_CHECKS.items()},
-    "table_1": ("theorem", _run_table_1, 5, "range"),
-    "paper_examples": ("theorem", _run_paper_examples, 0, "scope"),
+    "rank_roundtrip": (partial(_run_words, _rank_roundtrip), 1, "range"),
+    "order_agreement": (_run_order_agreement, 1, "scope"),
+    "theorem_2_4": (partial(_run_words, _theorem_2_4), 2, "range"),
+    **{check: (partial(_run_nav, check), first, "range")
+       for check, (first, _) in _NAV_CHECKS.items()},
+    "table_1": (_run_table_1, 5, "range"),
+    "paper_examples": (_run_paper_examples, 0, "scope"),
 }
 
 
@@ -355,7 +355,7 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
         raise UnknownCheckError(
             f"unknown check {check!r}; expected one of {sorted(_CHECKS)}"
         )
-    kind, run_unit, first, unit = _CHECKS[check]
+    run_unit, first, unit = _CHECKS[check]
     if max_scope < first:
         raise ArgumentError(
             f"check {check!r} needs a scope of at least {first}, "
@@ -381,8 +381,10 @@ def audit(check: str, max_scope: int, workers: int = 1) -> AuditReport:
     merged.sort(key=_sort_key)
     if merged:
         outcome = "fail"
+    elif nav._UNPROVEN.intersection(_NAV_CHECKS.get(check, (0, ()))[1]):
+        outcome = "conjecture-holds"
     else:
-        outcome = "conjecture-holds" if kind == "conjecture" else "pass"
+        outcome = "pass"
     return AuditReport(check, max_scope, outcome, tuple(merged), counts)
 
 

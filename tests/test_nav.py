@@ -682,6 +682,17 @@ def test_a_nav_audit_passes_as_a_conjecture_only_with_an_unproven_row():
         "psi_site_independence": "conjecture-holds"}
 
 
+def test_a_nav_audits_label_follows_unproven_when_it_runs(monkeypatch):
+    # a row taken out of nav._UNPROVEN after import, or put in, changes the
+    # passing label as it changes what the public move does on a mismatch
+    from motzkinrow import audit, nav
+
+    monkeypatch.setattr(nav, "_UNPROVEN", UNPROVEN - {"merge_adjacent"})
+    assert audit("conjecture_4_3", 8).outcome == "pass"
+    monkeypatch.setattr(nav, "_UNPROVEN", UNPROVEN | {"close_left"})
+    assert audit("corollary_3_3", 8).outcome == "conjecture-holds"
+
+
 def test_a_nav_audit_reads_its_rows_when_it_runs(monkeypatch):
     # a prediction made off by one after import reaches the audit: each of
     # corollary_3_1's rows, patched alone, fails the audit at every one of

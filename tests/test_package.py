@@ -45,6 +45,20 @@ def test_a_verb_loads_only_the_modules_it_calls(argv, added):
     assert not {"dataclasses", "inspect"} & modules
 
 
+def test_importtime_times_a_verbs_own_modules():
+    # the package loads a verb's modules through __import__, so
+    # -X importtime gives each a row, as it does the modules they import
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "motzkinrow",
+         "shift-open", "()()", "4", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    timed = {line.rpartition("|")[2].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")}
+    assert {"motzkinrow.nav", "motzkinrow.rowindex"} <= timed
+
+
 def test_addendum_loads_only_the_word_layer():
     modules = loaded_modules("addendum", "--max-range", "3")
     assert {m for m in modules if m.split(".")[0] == "motzkinrow"} == {

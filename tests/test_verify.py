@@ -2,6 +2,7 @@ import gc
 import itertools
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,8 +248,8 @@ def test_audit_refuses_a_scope_past_a_limit_before_any_unit_runs(monkeypatch):
         raise AssertionError(f"unit {unit} ran")
 
     monkeypatch.setattr(verify, "_CHECKS", {
-        check: (kind, no_run, first, unit)
-        for check, (kind, _, first, unit) in verify._CHECKS.items()})
+        check: (no_run, first, unit)
+        for check, (_, first, unit) in verify._CHECKS.items()})
     # paper_examples reads no range, but a scope past the limit is refused
     # like the enumerating checks', not reported as a pass
     ranged = set(verify._CHECKS) - {"table_1"}
@@ -337,30 +338,28 @@ def test_report_formats():
         "predicted=None verified=-1")
 
 
-# each check's summary line at scope 12, as CI's "Scope-12 audit counts"
-# step pins it: the benchmark's checker reads outcomes, not counts, so a
-# probe that dropped sites would still read as correct there
-SCOPE_12_CHECKED = {
-    "rank_roundtrip": 31022, "order_agreement": 33622, "theorem_2_4": 15510,
-    "corollary_3_1": 55600, "corollary_3_3": 21626, "corollary_4_1": 28908,
-    "conjecture_4_3": 9438, "psi_site_independence": 3288, "table_1": 56,
-    "paper_examples": 73,
-}
+# the pinned audit summary lines, which CI's "Scope-12 audit counts" step
+# reads too; the file says why they are pinned
+AUDIT_PINS = Path(__file__).with_name("audit_pins.txt")
 
 
 def test_scope_12_audit_lines_are_pinned(monkeypatch):
-    for check, checked in SCOPE_12_CHECKED.items():
-        outcome = ("conjecture-holds" if check in
-                   ("conjecture_4_3", "psi_site_independence") else "pass")
-        assert report_lines(audit(check, 12)) == (
-            f"check={check} scope=12 outcome={outcome} checked={checked} "
-            "counterexamples=0")
-    # at a length limit equal to the scope, the leading open drifts stop at
-    # the limit
-    monkeypatch.setenv("MOTZKINROW_MAX_WORD_LEN", "12")
-    assert report_lines(audit("corollary_3_1", 12)) == (
-        "check=corollary_3_1 scope=12 outcome=pass checked=32564 "
-        "counterexamples=0")
+    from motzkinrow import verify
+
+    plain = set()
+    for line in AUDIT_PINS.read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        settings, _, want = line.partition("check=")
+        want = "check=" + want
+        fields = dict(field.split("=", 1) for field in want.split())
+        with monkeypatch.context() as env:
+            for setting in settings.split():
+                env.setenv(*setting.split("=", 1))
+            assert report_lines(audit(fields["check"], int(fields["scope"]))) == want
+        if not settings:
+            plain.add(fields["check"])
+    assert plain == set(verify._CHECKS)
 
 
 def test_addendum_layout_and_entries():
