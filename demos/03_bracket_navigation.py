@@ -50,14 +50,14 @@ def main():
     show("insert", insert_pair(gone.after, 4, 7))
 
     print()
-    print("Merging two touching blocks drops the index by M[k] (conjectured,")
-    print("so the report always carries the verified delta too):")
+    print("Merging two touching blocks drops the index by M[k] (proven in")
+    print("PROOFS.md; the report carries the verified delta too):")
     merged = merge_adjacent("(0)()00", 4)
     show("merge", merged)
     show("split", split_block(merged.after, 4))
 
     print()
-    print(f"Fusing blocks across a single zero (psi(4) = {psi(4)}, audited):")
+    print(f"Fusing blocks across a single zero (psi(4) = {psi(4)}, proven):")
     show("swap", swap_across_zero("()0()00", 4))
 
     print()

@@ -3,10 +3,10 @@
 
 The generation-order oracle shares no code with the completion-count
 arithmetic, so their agreement actually means something.  Audits sweep
-whole ranges site by site; proof-backed checks must come back clean,
-while the conjectured merge delta and the psi drop, whose site
-independence is audited rather than proven, report counterexamples as
-data (none are known through range 12).
+whole ranges site by site; every check is backed by a proof
+(``PROOFS.md``) and must come back clean.  The merge delta and the psi
+drop keep their ``conjecture-holds`` label for compatibility and report
+counterexamples as data, though none can occur.
 """
 
 from motzkinrow import (

@@ -20,10 +20,12 @@ only on the positions touched, never on the rest of the word:
 Every operation returns a DeltaReport carrying both the polynomial value
 and the verified delta: the rank difference, summed over the span of the
 touched positions by ``bigcomb._rank_terms`` (see ``_move``).
-For the first three families the equality of the two is proven, so a
-mismatch raises PolynomialMismatchError.  The merge/split family is only
-conjectured and the zero-gap swap's site independence is only audited, so
-on their rows, named in ``_UNPROVEN``, a mismatch is data for the caller.
+The equality of the two is proven for every family and every k
+(``PROOFS.md``).  For the first three families a mismatch raises
+PolynomialMismatchError.  On the rows named in ``_UNPROVEN``, the
+merge/split family (the paper's Conjecture 4.3) and the zero-gap swap, a
+mismatch is data for the caller: that list, the audit check names and
+their ``conjecture-holds`` labels stay for compatibility.
 
 Each family's facts are one row of the move-shape table ``_SHAPES``: the
 symbols it reads, the depth left of them, the two symbols it writes and
@@ -112,8 +114,8 @@ def psi(k: int) -> int:
     into ()00.., ((0).., (() and (((, which the four terms count.  With
     T(m,1) = M[m+1] - M[m] and T(m,3) = M[m+3] - 3*M[m+2] + M[m+1] + M[m]
     the sum needs the Motzkin numbers alone.  That every other host drops
-    by the same amount is audited (``psi_site_independence``), not
-    assumed.
+    by the same amount is proven for every k (``PROOFS.md``); the audit
+    ``psi_site_independence`` still checks it against the oracle.
     """
     if k < 2:
         raise ArgumentError(f"psi needs k >= 2, got {k}")
@@ -328,16 +330,18 @@ def merge_adjacent(w, k: int) -> DeltaReport:
     """Swap the touching brackets of two outer blocks in direct contact
     (close at k+1, open at k), merging them into one block.
 
-    The predicted delta -M[k] rests on a conjecture, so the report's
-    verified delta is the authority; callers can compare the two.
+    The predicted delta -M[k], the paper's Conjecture 4.3, is proven for
+    every k (``PROOFS.md``).  The row stays in ``_UNPROVEN`` for
+    compatibility, so a disagreement is reported, not raised.
     """
     return _fuse(as_word(w), k, 0)
 
 
 def split_block(w, k: int) -> DeltaReport:
     """Inverse of merge_adjacent: an adjacent bracket pair sitting at
-    depth 1 inside an outer block swaps into two touching blocks;
-    conjectured delta +M[k]."""
+    depth 1 inside an outer block swaps into two touching blocks; delta
+    +M[k], proven for every k (``PROOFS.md``) and, like merge_adjacent's,
+    reported, not raised, on a disagreement."""
     w = as_word(w)
     if _at(w.text, k + 1) != "(" or _at(w.text, k) != ")":
         raise SiteError(
@@ -358,7 +362,8 @@ def swap_across_zero(w, k: int) -> DeltaReport:
 
     The predicted drop is the closed form psi(k) = M[k-1] + T(k-1,1) +
     T(k,1) + T(k,3) = M[k+3] - 3*M[k+2] + 2*M[k+1] + M[k].  That it holds
-    on every host is audited, not proven, so a disagreement with the rank
+    on every host is proven for every k (``PROOFS.md``).  The row stays in
+    ``_UNPROVEN`` for compatibility, so a disagreement with the rank
     difference, summed over the touched positions, is reported, not
     raised.
     """
@@ -376,11 +381,13 @@ def _fuse(w, k, gap):
     return _move(w, ("merge_adjacent", "swap_across_zero")[gap], p, k)
 
 
-# psi enters the nested_block polynomial because that landmark is reached
-# through a zero-gap swap.
 def control_points(n: int) -> list[tuple[str, MotzkinWord, int]]:
     """Landmark words of the n-range with closed-form indexes, smallest
-    to largest; every returned index is checked against rank."""
+    to largest; every returned index is checked against rank.
+
+    Each index is a sum of Motzkin numbers at fixed offsets of n, which
+    ``tests/test_proofs.py`` derives from the landmark's rank terms for
+    every n (``PROOFS.md``)."""
     if n < 5:
         raise ArgumentError(
             f"all seven landmarks need a range of at least 5, got {n}"
@@ -395,8 +402,7 @@ def control_points(n: int) -> list[tuple[str, MotzkinWord, int]]:
         ("small_block_pairs", "(0)" + _largest(n - 3),
          2 * motzkin(n - 1) - motzkin(n - 2) - 1),
         ("nested_block", "((0))" + "0" * (n - 5),
-         motzkin(n) - motzkin(n - 2) + motzkin(n - 3) - motzkin(n - 5)
-         - psi(n - 3)),
+         3 * motzkin(n - 1) - 3 * motzkin(n - 2) - motzkin(n - 5)),
         ("leading_pair", "()" + "0" * (n - 2), motzkin(n) - motzkin(n - 2)),
         ("max", _largest(n), motzkin(n) - 1),
     ]

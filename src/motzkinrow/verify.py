@@ -12,7 +12,8 @@ and checks each site's splice and prediction against the oracle's
 positions.  ``_examples`` lists the paper's worked cases, read by one
 loop.  Checks backed by proofs are expected to pass; a nav check that
 reads a row of ``nav._UNPROVEN``, looked up when the audit runs like the
-rows themselves, is a conjecture, which passes as ``conjecture-holds``.
+rows themselves, passes as ``conjecture-holds``, a label kept for
+compatibility since ``PROOFS.md`` proves those rows too.
 Every check reports counterexamples as data instead of asserting, so a
 scope extension can never crash the harness, only change the report.
 """
@@ -91,9 +92,9 @@ def _pattern(symbols, depth):
 
 
 # check: (first range, the rows of nav's move-shape table it reads), each
-# row looked up when the check runs; a check is a conjecture if one of its
-# rows is in nav._UNPROVEN then.  A site's label shows the public move's
-# arguments
+# row looked up when the check runs; a check passes as conjecture-holds if
+# one of its rows is in nav._UNPROVEN then.  A site's label shows the
+# public move's arguments
 _NAV_CHECKS = {
     "corollary_3_1": (2, ("open_right", "open_left")),
     "corollary_3_3": (3, ("close_left", "close_right")),
@@ -320,8 +321,8 @@ def _run_paper_examples(scope):
 # (runner, first range, unit).  A runner takes one range (unit "range") or
 # the whole scope at once (unit "scope").  The first range is the smallest
 # with a site to check, so no accepted scope passes vacuously.  The nav
-# checks are _NAV_CHECKS' rows; whether one passes as a conjecture is read
-# from nav._UNPROVEN when the audit runs, as its rows are.
+# checks are _NAV_CHECKS' rows; whether one passes as conjecture-holds is
+# read from nav._UNPROVEN when the audit runs, as its rows are.
 _CHECKS = {
     "rank_roundtrip": (partial(_run_words, _rank_roundtrip), 1, "range"),
     "order_agreement": (_run_order_agreement, 1, "scope"),

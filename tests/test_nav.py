@@ -632,8 +632,8 @@ def test_public_moves_and_nav_audits_read_one_row(row):
     assert sites == sum(audit(check, 8).counts for check in SITE_CHECKS)
 
 
-# the rows whose prediction is only conjectured or audited, where a
-# mismatch is data rather than an error
+# the rows of nav._UNPROVEN, proven in PROOFS.md but kept there for
+# compatibility, where a mismatch is data rather than an error
 UNPROVEN = {"merge_adjacent", "split_block", "swap_across_zero"}
 
 

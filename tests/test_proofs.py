@@ -1,4 +1,5 @@
-"""The move rows' index polynomials, derived from the counting triangle.
+"""The move rows' and the landmarks' index polynomials, derived from the
+counting triangle.
 
 The rank of a word is a sum of one term per position: with d the depth
 left of a position p (1-based from the right end), a "(" adds T(p-1, d), a
@@ -7,7 +8,12 @@ Motzkin triangle.  Virtual leading zeros add nothing, so the sum does not
 depend on how far a word is padded.  Every row of ``nav._SHAPES`` rewrites
 the symbols at two positions p > q with only zeros between them and leaves
 the depth right of q as it was, so it changes two terms only, and its
-delta is the after-terms at p and q minus the before-terms.
+delta is the after-terms at p and q minus the before-terms.  Each
+``nav.control_points`` landmark is a whole n-word, so its index is the sum
+of all its terms: fixed symbols from position n down, then zeros, or "()"
+pairs from depth 0, and for ``min`` a ")" at position 1.  A pair at p and
+p-1 adds M[p] - M[p-2], so the pairs from position s down telescope to
+M[s] - 1, as M[0] = M[1] = 1.
 
 Here the column T(., d) is a shift polynomial, {offset: coeff} standing
 for the sum of coeff * M[m + offset], derived from T(m, 0) = M[m] by
@@ -15,24 +21,29 @@ T(m, d) = T(m+1, d-1) - T(m, d-1) - T(m, d-2) with T(m, -1) = 0, not read
 from ``bigcomb``.  The recurrence holds for every m >= 0 (a word from
 depth d-1 first writes "(", "0" or ")"), and the derivation is a chain of
 such identities, so a row's derived polynomial is its delta at every
-site, for every p and q at which its indices are >= 0.
+site, for every p and q at which its indices are >= 0, and a landmark's
+is its rank for every n >= 5.  A term at a fixed position is a constant,
+kept as a multiple of M[0] = 1 (``ONE``).
 
-Each derived polynomial is compared with the row's prediction, evaluated
-on ``motzkin``, at every site position up to ``BOUND``.  That proves the
-prediction for every k, because the predictions are shift polynomials too:
+Each derived polynomial is compared with the code's value, evaluated on
+``motzkin``, at every site position or range up to ``BOUND``.  That proves
+the code for every k, because its values are shift polynomials too:
 ``_xi``, ``_zeta``, ``_psi`` and the row lambdas read M at fixed offsets,
-from -1 to WINDOW - 2, from p or q.  So a prediction minus its derived
-polynomial is a shift polynomial, and one that vanishes at n consecutive
-anchors, its first reading M[a] on, is zero when the Hankel matrix
-[M[a + i + j]] of size n is invertible, which
+from -1 to WINDOW - 2, from p or q, and ``control_points`` reads M at
+n-5 .. n, plus a constant, and calls no other polynomial.  So the code
+minus its derived polynomial is a shift polynomial, and one that vanishes
+at n consecutive anchors, its first reading M[a] on, is zero when the
+Hankel matrix [M[a + i + j]] of size n is invertible, which
 ``test_motzkin_hankel_matrices_are_invertible`` checks for a = 0 and
 a = 2.  A fixed-shape row has
 the one anchor q = 1, 2, ..., which reads from M[0] on.  A run row's
 difference is A(p) + B(q).  With p fixed, B is constant in q, so B(q+1) -
 B(q), one offset wider, vanishes reading from M[0] on, and B is zero;
-then A vanishes at p = 3, 4, ..., reading from M[2] on.  So equal values up
-to BOUND mean equal coefficients, and each row's identity holds for every
-k.
+then A vanishes at p = 3, 4, ..., reading from M[2] on.  A landmark's
+difference D(n) may hold a constant too, so D(n+1) - D(n), one offset
+wider, reads M[n-5 .. n+1], from M[0] on at n = 5: it vanishes, so D is
+constant, and D(5) = 0.  So equal values up to BOUND mean equal
+coefficients, and each identity holds for every k and every n.
 """
 
 from fractions import Fraction
@@ -194,3 +205,76 @@ def test_fusion_across_any_gap_is_one_polynomial():
             {("k", 2): 1, ("k", 1): -2, ("k", 0): -1}), gap
     assert fusion_delta(0) == shift(row_delta("merge_adjacent"), 0, "k")
     assert fusion_delta(1) == shift(row_delta("swap_across_zero"), 0, "k")
+
+
+# the "()" step: a pair at positions p, p-1 from depth 0
+PAIR = add(term("(", ("p", 0), 0), term(")", ("p", -1), 1))
+# M[0] = 1 at the fixed anchor c = 0: the unit of a constant
+ONE = ("c", 0)
+# landmark: (the symbols from position n down, the filler of the gap after
+# them, "0" or "()", and the symbols that end the word); an odd gap under
+# "()" leaves one more zero
+LANDMARKS = {
+    "min": ("(", "0", ")"),
+    "pair_inside_block": ("(0())", "0", ""),
+    "small_block": ("(0)", "0", ""),
+    "small_block_pairs": ("(0)", "()", ""),
+    "nested_block": ("((0))", "0", ""),
+    "leading_pair": ("()", "0", ""),
+    "max": ("", "()", ""),
+}
+
+
+def landmark_text(n, head, filler, end):
+    gap = n - len(head) - len(end)
+    return (head + filler * (gap // len(filler)) + "0" * (gap % len(filler))
+            + end)
+
+
+def landmark_index(head, filler, end):
+    """The sum of the rank terms of a landmark's n-word, a shift polynomial
+    anchored at n plus a multiple of ``ONE``."""
+    poly, depth = {}, 0
+    for i, symbol in enumerate(head):  # positions n, n - 1, ...
+        poly = add(poly, term(symbol, ("n", -i), depth))
+        depth += STEP[symbol]
+    if filler == "()":
+        # PAIR is F(p) - F(p - 2), F(p) = M[p], so the pairs at p = s,
+        # s - 2, ... from s = n - len(head) telescope to M[s] - M[0 or 1]
+        top = {("p", 0): 1}
+        assert PAIR == add(top, shift(scale(top, -1), -2))
+        poly = add(poly, shift(top, -len(head), "n"), {ONE: -1})
+    for i, symbol in enumerate(end):  # positions len(end), ..., 1
+        constant = value(term(symbol, ("c", len(end) - i), depth), c=0)
+        poly = add(poly, {ONE: constant})
+        depth += STEP[symbol]
+    assert depth == 0
+    return poly
+
+
+def test_the_landmarks_are_the_paper_polynomials():
+    assert {name: landmark_index(*shape)
+            for name, shape in LANDMARKS.items()} == {
+        "min": {("n", -1): 1},
+        "pair_inside_block": {("n", -1): 2, ("n", -2): -1, ("n", -3): -1,
+                              ("n", -5): -1},
+        "small_block": {("n", -1): 2, ("n", -2): -1, ("n", -3): -1},
+        "small_block_pairs": {("n", -1): 2, ("n", -2): -1, ONE: -1},
+        "nested_block": {("n", -1): 3, ("n", -2): -3, ("n", -5): -1},
+        "leading_pair": {("n", 0): 1, ("n", -2): -1},
+        "max": {("n", 0): 1, ONE: -1}}
+    # control_points reads the Motzkin numbers alone
+    assert not {"psi", "_psi", "xi", "_xi", "zeta", "_zeta"} & set(
+        nav.control_points.__code__.co_names)
+
+
+def test_each_landmark_index_is_its_derived_polynomial():
+    derived = {name: landmark_index(*shape)
+               for name, shape in LANDMARKS.items()}
+    assert all(-5 <= offset <= 0 for poly in derived.values()
+               for anchor, offset in poly if anchor == "n")
+    for n in range(5, BOUND + 1):
+        assert [(name, w.text, index)
+                for name, w, index in nav.control_points(n)] == [
+            (name, landmark_text(n, *shape), value(derived[name], n=n, c=0))
+            for name, shape in LANDMARKS.items()], n
