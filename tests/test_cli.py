@@ -127,6 +127,13 @@ def test_every_verb_output_is_pinned(capsys, argv, stdout):
     assert (code, out) == (0, stdout)
 
 
+def test_rank_and_unrank(capsys):
+    code, out, _ = run_cli(capsys, "rank", "()0(0())0")
+    assert code == 0 and out.strip() == "736"
+    code, out, _ = run_cli(capsys, "unrank", "736")
+    assert code == 0 and out.strip() == "()0(0())0"
+
+
 def test_shell_round_trip_on_random_words(capsys, row_through):
     words = row_through(10)
     rng = random.Random(99)
@@ -134,6 +141,53 @@ def test_shell_round_trip_on_random_words(capsys, row_through):
         _, out, _ = run_cli(capsys, "rank", w.text)
         _, out2, _ = run_cli(capsys, "unrank", out.strip())
         assert out2.strip() == w.text
+
+
+def test_add_prints_index_equation(capsys):
+    code, out, _ = run_cli(capsys, "add", "()0000(0)", "(0)0000")
+    assert code == 0
+    assert out.splitlines() == ["()(0)0(0)", "indexes: 710 + 72 = 782"]
+
+
+def test_sub(capsys):
+    code, out, _ = run_cli(capsys, "sub", "()(0)0(0)", "(0)0000")
+    assert code == 0 and out.splitlines()[0] == "()0000(0)"
+
+
+def test_decompose(capsys):
+    code, out, _ = run_cli(capsys, "--format", "lines", "decompose", "()(0)0(0)")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "part=()0000000 index=708"
+    assert lines[-1] == "total=782"
+
+
+def test_delta_report_output(capsys):
+    code, out, _ = run_cli(capsys, "shift-open", "()()()", "6", "2")
+    assert code == 0
+    assert "before:    ()()()" in out
+    assert "after:     (00)()()" in out
+    assert "predicted: +106" in out and "verified:  +106" in out
+    code, out, _ = run_cli(capsys, "--format", "lines",
+                           "shift-close", "(0)0000", "5", "left")
+    assert code == 0
+    assert out.strip() == ("before=(0)0000 after=()00000 predicted=34 "
+                           "verified=34 site=6,5")
+
+
+def test_polynomial_verbs(capsys):
+    assert run_cli(capsys, "xi", "5")[1].strip() == "34"
+    assert run_cli(capsys, "zeta", "4", "7")[1].strip() == "149"
+    assert run_cli(capsys, "psi", "7")[1].strip() == "456"
+
+
+def test_range_and_control_points(capsys):
+    code, out, _ = run_cli(capsys, "range", "6")
+    assert code == 0
+    assert out.splitlines() == ["min: (0000)  index 21", "max: ()()()  index 50"]
+    code, out, _ = run_cli(capsys, "control-points", "7")
+    assert code == 0
+    assert "(0())00  index 70" in out and "((0))00  index 88" in out
 
 
 def test_audit_clean_exit(capsys):
